@@ -210,8 +210,12 @@ def _build_parser():
 
     def add_quadrature_flags(p):
         p.add_argument("--alpha", type=float, help="contour rotation angle in (0, pi/2)")
-        p.add_argument("--n-rho", type=int, dest="n_rho", help="radial node count")
-        p.add_argument("--n-theta", type=int, dest="n_theta", help="angular node count")
+        p.add_argument("--n-rho", type=int, dest="n_rho",
+                       help="radial node count, more than --panel-order; the finest "
+                            "level of the node ladder for field --method quadrature")
+        p.add_argument("--n-theta", type=int, dest="n_theta",
+                       help="angular node count, more than --panel-order; the finest "
+                            "level of the node ladder for field --method quadrature")
         p.add_argument("--tol", type=float, help="quadrature tail tolerance")
         p.add_argument("--panel-order", type=int, dest="panel_order")
         p.add_argument("--rho-max", type=float, dest="rho_max",
@@ -317,7 +321,7 @@ def parse_config(argv, file=None) -> argparse.Namespace:
     return cfg
 
 
-def _spec_from_cfg(cfg) -> QuadratureSpec:
+def _spec_from_cfg(cfg, parser_error) -> QuadratureSpec:
     kwargs = {}
     for name in ("alpha", "n_rho", "n_theta", "tol", "panel_order"):
         value = getattr(cfg, name, None)
@@ -327,7 +331,10 @@ def _spec_from_cfg(cfg) -> QuadratureSpec:
     if rho_max_value is not None:
         kwargs["rho_max_policy"] = "fixed"
         kwargs["rho_max_value"] = rho_max_value
-    return QuadratureSpec(**kwargs)
+    try:
+        return QuadratureSpec(**kwargs)
+    except ValueError as exc:
+        parser_error(str(exc))
 
 
 def write_csv(header, rows, path) -> None:
@@ -421,7 +428,7 @@ def _operator_value(kind, t, pol, F, spec):
 
 def run_field(cfg, parser_error) -> int:
     F = _datum_from_cfg(cfg, parser_error)
-    spec = _spec_from_cfg(cfg)
+    spec = _spec_from_cfg(cfg, parser_error)
     if (cfg.grid is None) == (cfg.x is None):
         parser_error("field needs exactly one of --grid or --x")
     if cfg.out is None and cfg.pgm is None:
@@ -484,7 +491,7 @@ def run_coeffs(cfg, parser_error) -> int:
         parser_error("coeffs needs --x, --order and --out")
     if not 0 <= cfg.order <= N_CAP:
         parser_error(f"--order must lie in [0, {N_CAP}]")
-    spec = _spec_from_cfg(cfg)
+    spec = _spec_from_cfg(cfg, parser_error)
     try:
         table = build_table(cfg.kind, cfg.t, cfg.x, cfg.order, spec)
     except (TailBoundUnsatisfiable, ValueError) as exc:
@@ -499,7 +506,7 @@ def run_coeffs(cfg, parser_error) -> int:
 def run_supershift(cfg, parser_error) -> int:
     if cfg.x is None or cfg.out is None:
         parser_error("supershift needs --x and --out")
-    spec = _spec_from_cfg(cfg)
+    spec = _spec_from_cfg(cfg, parser_error)
     wall = reliable_order(cfg.a)
     if max(cfg.n_list) > wall:
         print(

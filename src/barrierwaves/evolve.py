@@ -19,6 +19,13 @@ Radial nodes are placed in the square-root variable u = sqrt(rho): the
 kernel carries half-integer powers of rho (through sqrt(r z)), so the
 integrand is analytic in u but only Holder-smooth in rho, and panel
 Gauss-Legendre in rho itself stalls near the origin.
+
+Accuracy is controlled by a coarse-to-fine ladder of tensor rules on one
+radial cutoff: the spec's panel counts, halved up to three times (rounded
+up to whole panels), are evaluated from the coarsest up, and the first
+level that agrees with the level below to within ``tol`` is returned with
+that difference as its error estimate.  Each level is the error estimate
+of the next, so no node is evaluated beyond the first converged level.
 """
 
 from __future__ import annotations
@@ -55,8 +62,11 @@ class QuadratureSpec:
         Contour rotation angle, in (0, pi/2).  pi/4 maximizes the Gaussian
         decay rate sin(2*alpha)/(4t).
     n_theta, n_rho : int
-        Total node counts in the angle and in the radial square-root
-        variable (each rounded up to a whole number of panels).
+        Node counts of the finest rule in the angle and in the radial
+        square-root variable (each rounded up to a whole number of
+        panels, and each above ``panel_order``, i.e. at least two panels).
+        ``psi_fresnel`` stops at a coarser level of its ladder once that
+        level converges; ``build_table`` always uses these counts.
     tol : float
         Target absolute accuracy; drives the radial cutoff and the
         refinement check.
@@ -80,8 +90,6 @@ class QuadratureSpec:
     def __post_init__(self):
         if not 0.0 < self.alpha < 0.5 * math.pi:
             raise ValueError(f"alpha must lie in (0, pi/2), got {self.alpha}")
-        if self.n_theta < 8 or self.n_rho < 8:
-            raise ValueError("need n_theta >= 8 and n_rho >= 8")
         if not self.tol > 0:
             raise ValueError(f"tol must be positive, got {self.tol}")
         if self.rho_max_policy not in ("auto", "fixed"):
@@ -91,6 +99,11 @@ class QuadratureSpec:
                 raise ValueError("fixed policy needs a positive rho_max_value")
         if self.panel_order < 2:
             raise ValueError("panel_order must be at least 2")
+        if self.n_theta <= self.panel_order or self.n_rho <= self.panel_order:
+            # one panel has no coarser rule to estimate its error against
+            raise ValueError(
+                f"n_rho and n_theta must exceed panel_order={self.panel_order} "
+                f"(at least two panels), got n_rho={self.n_rho}, n_theta={self.n_theta}")
 
 
 @dataclass(frozen=True)
@@ -158,7 +171,11 @@ InitialDatum = PlaneWave | TaylorField | DiscreteSuperposition
 
 @dataclass(frozen=True)
 class WaveSample:
-    """One evaluated solution value with its refinement error estimate."""
+    """One evaluated solution value with its refinement error estimate.
+
+    ``n_rho`` and ``n_theta`` are the node counts of the ladder level that
+    was returned; ``est_error`` is its difference to the level below.
+    """
 
     value: complex
     est_error: float
@@ -299,17 +316,40 @@ def _quad_value(kind, t, x, F, alpha, R, n_rho, n_theta, order):
     return phase * complex(np.sum(w2d * G * Fv))
 
 
+def _node_ladder(spec: QuadratureSpec) -> list[tuple[int, int]]:
+    """(n_rho, n_theta) node counts of the refinement ladder, coarsest first.
+
+    The finest level holds the spec's panel counts; each coarser level
+    halves them (rounding up to whole panels), at most three times and
+    never below one panel.  The default spec gives 32x32, 48x48, 96x80
+    and 192x160 nodes.
+    """
+    order = spec.panel_order
+    panels = [(-(-spec.n_rho // order), -(-spec.n_theta // order))]
+    for _ in range(3):
+        p_rho, p_theta = panels[-1]
+        if p_rho == p_theta == 1:
+            break
+        panels.append((-(-p_rho // 2), -(-p_theta // 2)))
+    return [(p_rho * order, p_theta * order) for p_rho, p_theta in reversed(panels)]
+
+
 def psi_fresnel(kind: BoundaryKind, t: float, x: PolarPoint, F: InitialDatum,
                 spec: QuadratureSpec = QuadratureSpec()) -> WaveSample:
     """Solution value at (t, x) by rotated-contour quadrature.
 
-    Runs the tensor rule at the requested node counts and once more at half
-    the counts; the difference is reported as ``est_error``.
+    Evaluates the tensor rules of the node ladder (``spec.n_rho`` x
+    ``spec.n_theta`` at the finest level, up to three halvings below) from
+    the coarsest up, all on one radial cutoff, and returns the first level
+    whose difference to the level below is at most ``spec.tol``; that
+    difference is reported as ``est_error``.  The finest level is accepted
+    up to 10 * spec.tol.
 
     Raises
     ------
     NonConvergence
-        If the refinement difference exceeds 10 * spec.tol.
+        If the finest level differs from the level below by more than
+        10 * spec.tol.
     TailBoundUnsatisfiable
         Propagated from the radial cutoff search.
     """
@@ -319,17 +359,21 @@ def psi_fresnel(kind: BoundaryKind, t: float, x: PolarPoint, F: InitialDatum,
     B_eff = effective_growth_rate(B, degree, t, spec.alpha)
     tail_spec = spec if A <= 1.0 else replace(spec, tol=spec.tol / A)
     R = rho_max(tail_spec, t, x.r, B_eff)
-    fine = _quad_value(kind, t, x, F, spec.alpha, R, spec.n_rho, spec.n_theta, spec.panel_order)
-    coarse = _quad_value(kind, t, x, F, spec.alpha, R,
-                         max(8, spec.n_rho // 2), max(8, spec.n_theta // 2), spec.panel_order)
-    est = abs(fine - coarse)
+    levels = _node_ladder(spec)
+    coarse = _quad_value(kind, t, x, F, spec.alpha, R, *levels[0], spec.panel_order)
+    for n_rho, n_theta in levels[1:]:
+        fine = _quad_value(kind, t, x, F, spec.alpha, R, n_rho, n_theta, spec.panel_order)
+        est = abs(fine - coarse)
+        if est <= spec.tol:
+            break
+        coarse = fine
     if est > 10.0 * spec.tol:
         raise NonConvergence(
             f"refinement difference {est:.3e} exceeds 10*tol={10 * spec.tol:.3e} "
-            f"(n_rho={spec.n_rho}, n_theta={spec.n_theta})"
+            f"(n_rho={n_rho}, n_theta={n_theta})"
         )
     return WaveSample(value=fine, est_error=est, t=t, x=x, kind=kind,
-                      rho_max=R, n_rho=spec.n_rho, n_theta=spec.n_theta)
+                      rho_max=R, n_rho=n_rho, n_theta=n_theta)
 
 
 @dataclass(frozen=True)

@@ -24,6 +24,7 @@ factorial rescalings lose their accuracy guarantees.
 
 from __future__ import annotations
 
+import functools
 import math
 import warnings
 from dataclasses import dataclass
@@ -72,6 +73,25 @@ def coeff_bound(t: float, r: float, alpha: float, n1: int, n2: int) -> float:
     )
 
 
+@functools.lru_cache(maxsize=None)
+def _log_gamma_pair_sums(size: int) -> np.ndarray:
+    """log of S_m = sum_{n1+n2=m} 1 / (Gamma((n1+1)/2) Gamma((n2+1)/2)), m < size.
+
+    S_m depends on m alone, so it is computed once per power-of-two
+    ``size`` and shared by every majorant; each entry is the same
+    arithmetic whatever the size.
+    """
+    half_gammaln = gammaln((np.arange(size) + 1) / 2.0)
+    out = np.empty(size)
+    for m in range(size):
+        n1 = np.arange(m + 1)
+        logs = -half_gammaln[n1] - half_gammaln[m - n1]
+        peak = logs.max()
+        out[m] = peak + math.log(np.sum(np.exp(logs - peak)))
+    out.setflags(write=False)
+    return out
+
+
 def _log_majorant_terms(t: float, r: float, alpha: float, log_weight: float, m_max: int):
     """log of T_m = sum_{n1+n2=m} coeff_bound * exp(m * log_weight), m = 0..m_max.
 
@@ -84,16 +104,11 @@ def _log_majorant_terms(t: float, r: float, alpha: float, log_weight: float, m_m
         + 4.5 * r * r / (t * s)
     )
     log_scale = 0.5 * math.log(16.0 * t / s)
-    out = np.empty(m_max + 1)
-    half_gammaln = gammaln((np.arange(m_max + 1) + 1) / 2.0)
-    for m in range(m_max + 1):
-        n1 = np.arange(m + 1)
-        logs = -half_gammaln[n1] - half_gammaln[m - n1]
-        peak = logs.max()
-        log_S = peak + math.log(np.sum(np.exp(logs - peak)))
-        mw = 0.0 if m == 0 else m * log_weight
-        out[m] = base + (m + 2) * log_scale + mw + log_S
-    return out
+    log_S = _log_gamma_pair_sums(1 << m_max.bit_length())[:m_max + 1]
+    m = np.arange(m_max + 1)
+    mw = m * log_weight
+    mw[0] = 0.0
+    return base + (m + 2) * log_scale + mw + log_S
 
 
 def _log_tail(log_terms, n: int) -> float:

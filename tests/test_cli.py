@@ -50,6 +50,14 @@ def test_missing_time_is_usage_error(tmp_path):
     assert exc.value.code == 2
 
 
+@pytest.mark.parametrize("flags", [["--n-rho", "16"], ["--n-theta", "12"], ["--alpha", "0"]])
+def test_invalid_quadrature_spec_is_usage_error(tmp_path, flags):
+    with pytest.raises(SystemExit) as exc:
+        main(["field", "--t", "1", "--x", "1,1", "--plane-wave", "0.5,0.5",
+              "--out", str(tmp_path / "f.csv"), *flags])
+    assert exc.value.code == 2
+
+
 def test_config_file_supplies_defaults(tmp_path):
     conf = tmp_path / "run.conf"
     conf.write_text(

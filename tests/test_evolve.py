@@ -14,6 +14,8 @@ from barrierwaves.evolve import (
     TailBoundUnsatisfiable,
     TaylorField,
     WaveSample,
+    _node_ladder,
+    _quad_value,
     effective_growth_rate,
     eval_datum,
     growth_envelope,
@@ -21,7 +23,7 @@ from barrierwaves.evolve import (
     psi_regularized_oracle,
     rho_max,
 )
-from barrierwaves.geometry import PolarPoint
+from barrierwaves.geometry import PHI_MAX, PHI_MIN, PolarPoint
 from barrierwaves.greens import BoundaryKind
 
 X = PolarPoint(1.0, math.pi / 2)
@@ -83,6 +85,11 @@ def test_spec_validation():
         QuadratureSpec(alpha=math.pi / 2)
     with pytest.raises(ValueError):
         QuadratureSpec(n_rho=4)
+    # one panel has no distinct coarser rule to estimate its error against
+    for kwargs in ({"n_rho": 16, "n_theta": 16}, {"n_rho": 8, "n_theta": 8}, {"n_theta": 16},
+                   {"n_rho": 32, "n_theta": 32, "panel_order": 32}):
+        with pytest.raises(ValueError, match="two panels"):
+            QuadratureSpec(**kwargs)
     with pytest.raises(ValueError):
         QuadratureSpec(tol=0.0)
     with pytest.raises(ValueError):
@@ -185,17 +192,79 @@ def test_linearity_of_wave_superpositions():
     assert abs(lhs - rhs) <= 1e-10
 
 
+def test_node_ladder_halves_panels():
+    assert _node_ladder(SPEC) == [(32, 32), (48, 48), (96, 80), (192, 160)]
+    # levels stop at one panel and never repeat
+    assert _node_ladder(QuadratureSpec(n_rho=24, n_theta=24)) == [(16, 16), (32, 32)]
+    assert _node_ladder(QuadratureSpec(n_rho=17, n_theta=100)) == [
+        (16, 16), (16, 32), (16, 64), (32, 112)]
+
+
+def test_two_panel_spec_estimate_is_honest():
+    x = PolarPoint(1.0, 1.0)
+    F = PlaneWave(0.5, 0.5)
+    with pytest.raises(ValueError):
+        psi_fresnel(BoundaryKind.DIRICHLET, 1.0, x, F, QuadratureSpec(n_rho=16, n_theta=16))
+    ref = psi_fresnel(BoundaryKind.DIRICHLET, 1.0, x, F, SPEC).value
+    s = psi_fresnel(BoundaryKind.DIRICHLET, 1.0, x, F, QuadratureSpec(n_rho=17, n_theta=17, tol=1e-4))
+    assert (s.n_rho, s.n_theta) == (32, 32)
+    assert 0 < abs(s.value - ref) <= s.est_error
+
+
 def test_mesh_doubling_shrinks_error_estimate():
-    coarse = psi_fresnel(
-        BoundaryKind.DIRICHLET, 1.0, X, PlaneWave(0.5, 0.5),
-        QuadratureSpec(n_rho=24, n_theta=24, tol=1e-4),
+    F = PlaneWave(0.5, 0.5)
+    # at tol 1e-4 both specs stop at the same 32x32 level
+    loose = [
+        psi_fresnel(BoundaryKind.DIRICHLET, 1.0, X, F, QuadratureSpec(n_rho=n, n_theta=n, tol=1e-4))
+        for n in (24, 48)
+    ]
+    assert [(s.n_rho, s.n_theta) for s in loose] == [(32, 32), (32, 32)]
+    assert loose[0] == loose[1]
+    # a tighter tol sends the 48-node spec on to its finest level
+    coarse, fine = (
+        psi_fresnel(BoundaryKind.DIRICHLET, 1.0, X, F, QuadratureSpec(n_rho=n, n_theta=n, tol=3e-6))
+        for n in (24, 48)
     )
-    fine = psi_fresnel(
-        BoundaryKind.DIRICHLET, 1.0, X, PlaneWave(0.5, 0.5),
-        QuadratureSpec(n_rho=48, n_theta=48, tol=1e-4),
-    )
+    assert (coarse.n_rho, fine.n_rho) == (32, 48)
     assert fine.est_error > 0
     assert coarse.est_error / fine.est_error >= 4.0
+
+
+def test_finest_level_reproduces_fixed_pair():
+    # far from the barrier tip at moderate t the ladder climbs to 192x160,
+    # where value and estimate are those of the (spec, spec/2) pair
+    kind, t, x, F = BoundaryKind.DIRICHLET, 0.84, PolarPoint(3.15, 2.46), PlaneWave(-0.25, -1.19)
+    s = psi_fresnel(kind, t, x, F, SPEC)
+    assert (s.n_rho, s.n_theta) == (SPEC.n_rho, SPEC.n_theta)
+    fine = _quad_value(kind, t, x, F, SPEC.alpha, s.rho_max, SPEC.n_rho, SPEC.n_theta, SPEC.panel_order)
+    coarse = _quad_value(kind, t, x, F, SPEC.alpha, s.rho_max,
+                         SPEC.n_rho // 2, SPEC.n_theta // 2, SPEC.panel_order)
+    assert s.value == fine
+    assert s.est_error == abs(fine - coarse)
+
+
+def test_ladder_agrees_with_finest_level_within_estimate():
+    rng = np.random.default_rng(20231)
+    levels = set()
+    for i in range(40):
+        kind = (BoundaryKind.DIRICHLET, BoundaryKind.NEUMANN)[rng.integers(2)]
+        t = rng.uniform(0.5, 2.0)
+        x = PolarPoint(rng.uniform(0.05, 3.9), rng.uniform(PHI_MIN, PHI_MAX))
+        if i % 2:
+            kn, ang = rng.uniform(0.0, 1.5), rng.uniform(0.0, 2 * math.pi)
+            F = PlaneWave(kn * math.cos(ang), kn * math.sin(ang))
+        else:
+            # Taylor datum of degree <= 3
+            n = np.arange(int(rng.integers(4)) + 1)
+            F = TaylorField(np.where(n[:, None] + n[None, :] <= n[-1],
+                                     rng.uniform(-1.0, 1.0, (n.size, n.size)), 0.0))
+        s = psi_fresnel(kind, t, x, F, SPEC)
+        levels.add(s.n_rho)
+        finest = _quad_value(kind, t, x, F, SPEC.alpha, s.rho_max,
+                             SPEC.n_rho, SPEC.n_theta, SPEC.panel_order)
+        assert abs(s.value - finest) <= s.est_error <= 10 * SPEC.tol
+    # the seeded points stop at every level above the coarsest
+    assert levels == {48, 96, 192}
 
 
 def test_nonconvergence_on_starved_mesh():
@@ -213,8 +282,8 @@ def test_sample_metadata():
     assert s.x == X
     assert s.kind is BoundaryKind.NEUMANN
     assert s.rho_max > 0
-    assert s.n_rho == SPEC.n_rho
-    assert s.n_theta == SPEC.n_theta
+    # a smooth case converges two levels below the spec's 192x160
+    assert (s.n_rho, s.n_theta) == (48, 48)
     assert s.est_error < SPEC.tol
 
 

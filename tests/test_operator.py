@@ -5,6 +5,7 @@ import warnings
 
 import numpy as np
 import pytest
+from scipy.special import gammaln
 
 from barrierwaves.evolve import (
     PlaneWave,
@@ -19,6 +20,7 @@ from barrierwaves.operator import (
     N_CAP,
     CoeffTable,
     TruncationInsufficient,
+    _log_majorant_terms,
     apply_plane_wave,
     apply_taylor,
     build_table,
@@ -160,6 +162,40 @@ def test_refinement_estimate_is_small(tables_n10):
 # ----------------------------------------------------------------------------
 # Certified truncation order
 # ----------------------------------------------------------------------------
+
+
+def test_table_estimate_needs_two_panels(tables_n10):
+    # one panel would make the coarse pass the fine pass again: est_error 0
+    with pytest.raises(ValueError):
+        build_table(BoundaryKind.DIRICHLET, 1.0, X, 10, QuadratureSpec(n_rho=16, n_theta=16))
+    coarse = build_table(BoundaryKind.DIRICHLET, 1.0, X, 10, QuadratureSpec(n_rho=17, n_theta=17))
+    gap = np.max(np.abs(coarse.c - tables_n10[BoundaryKind.DIRICHLET].c))
+    assert 0 < gap <= coarse.est_error
+
+
+def _log_majorant_terms_loop(t, r, alpha, log_weight, m_max):
+    """Per-order loop the memoised majorant must reproduce bit for bit."""
+    s = math.sin(2.0 * alpha)
+    base = math.log(math.pi * math.pi / (2.0 * t)) + 4.5 * r * r / (t * s)
+    log_scale = 0.5 * math.log(16.0 * t / s)
+    out = np.empty(m_max + 1)
+    half_gammaln = gammaln((np.arange(m_max + 1) + 1) / 2.0)
+    for m in range(m_max + 1):
+        n1 = np.arange(m + 1)
+        logs = -half_gammaln[n1] - half_gammaln[m - n1]
+        peak = logs.max()
+        log_S = peak + math.log(np.sum(np.exp(logs - peak)))
+        mw = 0.0 if m == 0 else m * log_weight
+        out[m] = base + (m + 2) * log_scale + mw + log_S
+    return out
+
+
+@pytest.mark.parametrize("m_max", [0, 1, 7, 8, 63, 64, 65, 300, 1500])
+def test_log_majorant_terms_bitwise_equal_to_loop(m_max):
+    for t, r, alpha, log_weight in ((1.0, 0.9, ALPHA, 0.0), (0.37, 2.5, 0.3, math.log(math.e * 1.7)),
+                                    (1.8, 0.0, 1.2, math.log(0.05))):
+        got = _log_majorant_terms(t, r, alpha, log_weight, m_max)
+        assert got.tobytes() == _log_majorant_terms_loop(t, r, alpha, log_weight, m_max).tobytes()
 
 
 def test_truncation_order_zero_growth():
