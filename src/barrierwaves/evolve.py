@@ -321,14 +321,15 @@ def _node_ladder(spec: QuadratureSpec) -> list[tuple[int, int]]:
 
     The finest level holds the spec's panel counts; each coarser level
     halves them (rounding up to whole panels), at most three times and
-    never below one panel.  The default spec gives 32x32, 48x48, 96x80
-    and 192x160 nodes.
+    only while both directions still have two panels or more, so each
+    level refines the one below in both directions.  The default spec
+    gives 32x32, 48x48, 96x80 and 192x160 nodes.
     """
     order = spec.panel_order
     panels = [(-(-spec.n_rho // order), -(-spec.n_theta // order))]
     for _ in range(3):
         p_rho, p_theta = panels[-1]
-        if p_rho == p_theta == 1:
+        if min(p_rho, p_theta) == 1:
             break
         panels.append((-(-p_rho // 2), -(-p_theta // 2)))
     return [(p_rho * order, p_theta * order) for p_rho, p_theta in reversed(panels)]

@@ -40,6 +40,7 @@ from .evolve import (
     TailBoundUnsatisfiable,
     TaylorField,
     _gauss_panels,
+    _node_ladder,
     effective_growth_rate,
     rho_max,
 )
@@ -194,7 +195,8 @@ def build_table(kind: BoundaryKind, t: float, x: PolarPoint, N: int,
     The propagator is evaluated once on the shared node set; every
     coefficient is an angular/radial moment of that grid, so no entry sees
     a different kernel evaluation.  The radial cutoff accounts for the
-    rho^(N+1) weight of the highest moments.
+    rho^(N+1) weight of the highest moments.  ``est_error`` compares the
+    spec's rule with the level below it on ``psi_fresnel``'s node ladder.
 
     Raises
     ------
@@ -235,7 +237,8 @@ def build_table(kind: BoundaryKind, t: float, x: PolarPoint, N: int,
         return raw
 
     fine = raw_moments(spec.n_rho, spec.n_theta)
-    coarse = raw_moments(max(8, spec.n_rho // 2), max(8, spec.n_theta // 2))
+    # the level below the finest on psi_fresnel's ladder: half the panels
+    coarse = raw_moments(*_node_ladder(spec)[-2])
 
     inv_fact = np.ones(N + 1)
     for n in range(1, N + 1):

@@ -194,10 +194,22 @@ def test_linearity_of_wave_superpositions():
 
 def test_node_ladder_halves_panels():
     assert _node_ladder(SPEC) == [(32, 32), (48, 48), (96, 80), (192, 160)]
-    # levels stop at one panel and never repeat
+    # levels stop once a direction is down to one panel and never repeat
     assert _node_ladder(QuadratureSpec(n_rho=24, n_theta=24)) == [(16, 16), (32, 32)]
-    assert _node_ladder(QuadratureSpec(n_rho=17, n_theta=100)) == [
-        (16, 16), (16, 32), (16, 64), (32, 112)]
+    assert _node_ladder(QuadratureSpec(n_rho=17, n_theta=100)) == [(16, 64), (32, 112)]
+    assert _node_ladder(QuadratureSpec(n_rho=10, n_theta=10, panel_order=5)) == [(5, 5), (10, 10)]
+
+
+@pytest.mark.parametrize("n_rho, n_theta", [(32, 160), (160, 32), (48, 192), (17, 100)])
+def test_node_ladder_refines_both_directions(n_rho, n_theta):
+    levels = _node_ladder(QuadratureSpec(n_rho=n_rho, n_theta=n_theta))
+    for (c_rho, c_theta), (f_rho, f_theta) in zip(levels, levels[1:]):
+        assert c_rho < f_rho and c_theta < f_theta
+    # only the coarsest level, which is never returned, may have one panel
+    assert all(min(lv) >= 2 * 16 for lv in levels[1:])
+    s = psi_fresnel(BoundaryKind.DIRICHLET, 1.0, PolarPoint(1.0, 1.0), PlaneWave(0.5, 0.5),
+                    QuadratureSpec(n_rho=n_rho, n_theta=n_theta, tol=1e-4))
+    assert min(s.n_rho, s.n_theta) >= 2 * 16
 
 
 def test_two_panel_spec_estimate_is_honest():

@@ -171,6 +171,10 @@ def test_table_estimate_needs_two_panels(tables_n10):
     coarse = build_table(BoundaryKind.DIRICHLET, 1.0, X, 10, QuadratureSpec(n_rho=17, n_theta=17))
     gap = np.max(np.abs(coarse.c - tables_n10[BoundaryKind.DIRICHLET].c))
     assert 0 < gap <= coarse.est_error
+    # a low panel order still gets a coarse pass with fewer panels
+    small = build_table(BoundaryKind.DIRICHLET, 1.0, X, 4,
+                        QuadratureSpec(n_rho=10, n_theta=10, panel_order=5))
+    assert small.est_error > 0
 
 
 def _log_majorant_terms_loop(t, r, alpha, log_weight, m_max):
