@@ -22,7 +22,8 @@ Gauss-Legendre in rho itself stalls near the origin.
 
 Accuracy is controlled by a coarse-to-fine ladder of tensor rules on one
 radial cutoff: the spec's panel counts, halved up to three times (rounded
-up to whole panels), are evaluated from the coarsest up, and the first
+up to whole panels, and only while both directions keep two panels or
+more), are evaluated from the coarsest up, and the first
 level that agrees with the level below to within ``tol`` is returned with
 that difference as its error estimate.  Each level is the error estimate
 of the next, so no node is evaluated beyond the first converged level.
@@ -66,7 +67,8 @@ class QuadratureSpec:
         square-root variable (each rounded up to a whole number of
         panels, and each above ``panel_order``, i.e. at least two panels).
         ``psi_fresnel`` stops at a coarser level of its ladder once that
-        level converges; ``build_table`` always uses these counts.
+        level converges; ``build_table`` always returns this level and
+        takes its estimate from the level below.
     tol : float
         Target absolute accuracy; drives the radial cutoff and the
         refinement check.
