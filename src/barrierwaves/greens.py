@@ -15,10 +15,20 @@ case.  The same formula continues holomorphically in the radial variable
 radial Fresnel oscillation into Gaussian decay, which is what every
 quadrature in this package integrates.
 
-Numerical note: for Re(w) < 0 the factor L(w) grows like 2*exp(w^2) while
-the Gaussian prefactor decays, so the product is evaluated by folding the
-exponent analytically, ``exp(P)*L(w) = 2*exp(P + w^2) - exp(P)*L(-w)`` --
-never by multiplying a huge value by a tiny one.
+The reflected term is the direct term at the mirror source angle: with
+w1(theta) = sqrt(r rho) cos((phi-theta)/2) / sqrt(it), the second argument
+is w2(theta) = -w1(pi - theta), and theta -> pi - theta maps the slit
+interval (-pi/2, 3pi/2) onto itself.  The grid kernel therefore returns
+the pair pref*exp(P)*(L(w1), L(-w1)) at each source angle, and callers
+attach the reflected half to the mirrored datum point (-y1, y2) with the
+sign of the boundary condition.
+
+Numerical note: L(w) and L(-w) come from one ``wofz`` value by
+``exp(P)*L(-w) = 2*exp(P + w^2) - exp(P)*L(w)`` (DLMF 7.4.2).  ``wofz`` is
+called on whichever of w, -w has a nonnegative real part, where |L| <= 1,
+and the growing half takes the folded form, so the factor 2*exp(w^2) is
+merged into the decaying Gaussian exponent -- never formed as a huge value
+multiplied by a tiny one.
 """
 
 from __future__ import annotations
@@ -60,35 +70,43 @@ _SIGNS = {BoundaryKind.DIRICHLET: -1.0, BoundaryKind.NEUMANN: +1.0}
 
 
 def _stable_scaled_erfcx(P, w):
-    """exp(P) * erfcx(w), elementwise, without intermediate overflow.
+    """The pair (exp(P) * erfcx(w), exp(P) * erfcx(-w)), without overflow.
 
-    For Re(w) >= 0, |erfcx(w)| <= 1 and the product is formed directly.
-    Otherwise the reflection erfcx(w) = 2*exp(w^2) - erfcx(-w) folds the
-    growing exponential into the prefactor exponent, where the combined
-    real part is bounded by the kernel estimate.
+    Returns an array of shape ``(2,) + broadcast(P, w).shape``.  One
+    ``wofz`` call evaluates erfcx on whichever of w, -w has Re >= 0 (so
+    |erfcx| <= 1 there); the other half of the pair follows from the
+    reflection erfcx(-v) = 2*exp(v^2) - erfcx(v), with the growing
+    exponential folded into the prefactor exponent, where the combined
+    real part is bounded by the kernel estimate.  ``exp(P)`` is taken on
+    P's own shape before broadcasting.
     """
     P = np.asarray(P, dtype=complex)
     w = np.asarray(w, dtype=complex)
-    P, w = np.broadcast_arrays(P, w)
-    out = np.empty(P.shape, dtype=complex)
-    safe = w.real >= 0.0
-    if np.any(safe):
-        out[safe] = np.exp(P[safe]) * wofz(1j * w[safe])
-    if not np.all(safe):
-        grow = ~safe
-        wg = w[grow]
-        Pg = P[grow]
-        out[grow] = 2.0 * np.exp(Pg + wg * wg) - np.exp(Pg) * wofz(-1j * wg)
+    grow = w.real < 0.0
+    v = np.where(grow, -w, w)
+    small = np.exp(P) * wofz(1j * v)
+    fold = 2.0 * np.exp(P + w * w) - small
+    out = np.stack((small, fold))
+    np.copyto(out[0, ...], fold, where=grow)
+    np.copyto(out[1, ...], small, where=grow)
     return out
 
 
-def _kernel_grid(kind: BoundaryKind, t: float, x: PolarPoint, z, theta, reduced=False):
-    """Propagator on the outer product of radial values ``z`` and angles ``theta``.
+def _kernel_grid(t: float, x: PolarPoint, z, theta, reduced=False):
+    """Direct and image halves of the propagator on the grid of ``z`` and ``theta``.
+
+    Returns ``pref * exp(P) * (L(w1), L(-w1))`` stacked on a leading axis
+    of length 2, where w1 is the direct-term argument at source angle
+    ``theta``.  The propagator at (z, theta) is
+    ``G[0](theta) + sign * G[1](pi - theta)`` with ``sign`` the boundary
+    condition's ``_SIGNS`` entry; grid callers instead pair ``G[1]`` at
+    ``theta`` with the datum at the mirror point (-z cos theta, z sin theta).
 
     ``z`` may be real (physical points) or complex with Re(z) > 0 (rotated
     radius).  With ``reduced=True`` the factor exp(i z^2/(4t)) is dropped;
     the full kernel is ``exp(0.25j*z*z/t) * reduced``.
-    Shapes broadcast: the result has shape ``np.broadcast(z, theta).shape``.
+    Shapes broadcast: the result has shape
+    ``(2,) + np.broadcast(z, theta).shape``.
     """
     if t <= 0:
         raise ValueError(f"time must be positive, got t={t}")
@@ -99,16 +117,22 @@ def _kernel_grid(kind: BoundaryKind, t: float, x: PolarPoint, z, theta, reduced=
     sqrt_rz = np.sqrt(r * z)
     inv_sqrt_it = np.exp(-1j * _QUARTER_PI) / math.sqrt(t)
     w1 = sqrt_rz * (np.cos(0.5 * (phi - theta)) * inv_sqrt_it)
-    w2 = -sqrt_rz * (np.sin(0.5 * (phi + theta)) * inv_sqrt_it)
     # -(...)/(4it) = +0.25j*(...)/t
     if reduced:
         P = 0.25j * (r * r + 2.0 * r * z) / t
     else:
         P = 0.25j * (r + z) * (r + z) / t
-    pref = 1.0 / (8j * math.pi * t)
-    term1 = _stable_scaled_erfcx(P, w1)
-    term2 = _stable_scaled_erfcx(P, w2)
-    return pref * (term1 + _SIGNS[kind] * term2)
+    pair = _stable_scaled_erfcx(P, w1)
+    pair *= 1.0 / (8j * math.pi * t)
+    return pair
+
+
+def _pointwise(kind: BoundaryKind, t: float, x: PolarPoint, z, theta: float, reduced: bool) -> complex:
+    """Propagator at one source point from the direct half at ``theta`` and
+    the image half at ``pi - theta``."""
+    direct = _kernel_grid(t, x, z, theta, reduced)[0]
+    image = _kernel_grid(t, x, z, math.pi - theta, reduced)[1]
+    return complex(direct + _SIGNS[kind] * image)
 
 
 def greens(kind: BoundaryKind, t: float, x: PolarPoint, y: PolarPoint) -> complex:
@@ -118,7 +142,7 @@ def greens(kind: BoundaryKind, t: float, x: PolarPoint, y: PolarPoint) -> comple
     Dirichlet case.  ``x`` and ``y`` may carry the closed barrier angles
     -pi/2 and 3*pi/2 so boundary behaviour can be probed directly.
     """
-    return complex(_kernel_grid(kind, t, x, y.r, y.phi, reduced=False))
+    return _pointwise(kind, t, x, y.r, y.phi, reduced=False)
 
 
 def greens_rotated(kind: BoundaryKind, t: float, x: PolarPoint, z: complex, theta: float) -> complex:
@@ -131,7 +155,7 @@ def greens_rotated(kind: BoundaryKind, t: float, x: PolarPoint, z: complex, thet
     z = complex(z)
     if not z.real > 0:
         raise ValueError(f"greens_rotated requires Re(z) > 0, got z={z}")
-    return complex(_kernel_grid(kind, t, x, z, theta, reduced=False))
+    return _pointwise(kind, t, x, z, theta, reduced=False)
 
 
 def greens_reduced(kind: BoundaryKind, t: float, x: PolarPoint, z: complex, theta: float) -> complex:
@@ -144,7 +168,7 @@ def greens_reduced(kind: BoundaryKind, t: float, x: PolarPoint, z: complex, thet
     z = complex(z)
     if not z.real > 0:
         raise ValueError(f"greens_reduced requires Re(z) > 0, got z={z}")
-    return complex(_kernel_grid(kind, t, x, z, theta, reduced=True))
+    return _pointwise(kind, t, x, z, theta, reduced=True)
 
 
 def greens_reduced_bound(t: float, r: float, zabs: float) -> float:

@@ -39,6 +39,7 @@ from .evolve import (
     QuadratureSpec,
     TailBoundUnsatisfiable,
     TaylorField,
+    _check_time,
     _gauss_panels,
     _node_ladder,
     effective_growth_rate,
@@ -201,12 +202,12 @@ def build_table(kind: BoundaryKind, t: float, x: PolarPoint, N: int,
     Raises
     ------
     ValueError
-        If N exceeds the table cap (60) or is negative.
+        If N exceeds the table cap (60) or is negative, or t is not finite
+        and positive.
     """
     if not 0 <= N <= N_CAP:
         raise ValueError(f"table order must lie in [0, {N_CAP}], got {N}")
-    if t <= 0:
-        raise ValueError(f"time must be positive, got t={t}")
+    _check_time(t)
     B_eff = effective_growth_rate(0.0, N + 1, t, spec.alpha)
     R = rho_max(spec, t, x.r, B_eff)
 
@@ -215,13 +216,16 @@ def build_table(kind: BoundaryKind, t: float, x: PolarPoint, N: int,
         th, wth = _gauss_panels(PHI_MIN, PHI_MAX, n_theta, spec.panel_order)
         rho = u * u
         z = rho * complex(math.cos(spec.alpha), math.sin(spec.alpha))
-        G = _kernel_grid(kind, t, x, z[:, None], th[None, :])
+        G = _kernel_grid(t, x, z[:, None], th[None, :])
         # radial weights w * rho^(m+1) built multiplicatively
         radial = np.empty((N + 1, rho.size))
         radial[0] = 2.0 * u * wu * rho
         for m in range(1, N + 1):
             radial[m] = radial[m - 1] * rho
-        T = radial @ G  # (N+1, n_theta)
+        T_direct, T_image = radial @ G  # each (N+1, n_theta)
+        # the image half sits at the mirror point (-z1, z2): factor (-1)^n1
+        sign = kind.sign
+        T = (T_direct + sign * T_image, T_direct - sign * T_image)
         cos_pows = np.empty((N + 1, th.size))
         sin_pows = np.empty((N + 1, th.size))
         cos_pows[0] = 1.0
@@ -233,7 +237,7 @@ def build_table(kind: BoundaryKind, t: float, x: PolarPoint, N: int,
         for n1 in range(N + 1):
             u1 = cos_pows[n1] * wth
             count = N - n1 + 1
-            raw[n1, :count] = np.einsum("j,nj,nj->n", u1, sin_pows[:count], T[n1:n1 + count])
+            raw[n1, :count] = np.einsum("j,nj,nj->n", u1, sin_pows[:count], T[n1 % 2][n1:n1 + count])
         return raw
 
     fine = raw_moments(spec.n_rho, spec.n_theta)

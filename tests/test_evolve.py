@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from numpy.polynomial.legendre import leggauss
 
 from barrierwaves.evolve import (
     RHO_MAX_CAP,
@@ -14,6 +15,8 @@ from barrierwaves.evolve import (
     TailBoundUnsatisfiable,
     TaylorField,
     WaveSample,
+    _gauss_panels,
+    _gauss_rule,
     _node_ladder,
     _quad_value,
     effective_growth_rate,
@@ -25,6 +28,7 @@ from barrierwaves.evolve import (
 )
 from barrierwaves.geometry import PHI_MAX, PHI_MIN, PolarPoint
 from barrierwaves.greens import BoundaryKind
+from barrierwaves.operator import build_table
 
 X = PolarPoint(1.0, math.pi / 2)
 SPEC = QuadratureSpec()
@@ -130,6 +134,30 @@ def test_rho_max_unsatisfiable():
     with pytest.raises(TailBoundUnsatisfiable):
         rho_max(SPEC, 1.0, 1.0, 4000.0)
     assert rho_max(SPEC, 1.0, 1.0, 2000.0) < RHO_MAX_CAP
+
+
+@pytest.mark.parametrize("t, B", [(1.0, math.nan), (1.0, math.inf), (math.nan, 1.0), (math.inf, 1.0)])
+def test_rho_max_rejects_non_finite_arguments(t, B):
+    # a NaN growth rate used to slip past every comparison to the 1e4 cap
+    with pytest.raises(ValueError):
+        rho_max(SPEC, t, 1.0, B)
+
+
+@pytest.mark.parametrize("order", [2, 5, 16, 32])
+def test_gauss_rule_is_cached_reference_rule(order):
+    x0, w0 = _gauss_rule(order)
+    fresh_x, fresh_w = leggauss(order)
+    assert x0.tobytes() == fresh_x.tobytes()
+    assert w0.tobytes() == fresh_w.tobytes()
+    assert not x0.flags.writeable and not w0.flags.writeable
+    assert _gauss_rule(order)[0] is x0
+    # the composite rule built on it is the one built on a fresh rule
+    nodes, weights = _gauss_panels(0.0, 3.0, 3 * order, order)
+    edges = np.linspace(0.0, 3.0, 4)
+    half = 0.5 * (edges[1] - edges[0])
+    mids = 0.5 * (edges[1:] + edges[:-1])
+    assert nodes.tobytes() == (mids[:, None] + half * fresh_x[None, :]).ravel().tobytes()
+    assert weights.tobytes() == np.tile(half * fresh_w, 3).tobytes()
 
 
 # ----------------------------------------------------------------------------
@@ -285,6 +313,27 @@ def test_nonconvergence_on_starved_mesh():
             BoundaryKind.DIRICHLET, 1.0, X, PlaneWave(0.5, 0.5),
             QuadratureSpec(n_rho=32, n_theta=32, tol=1e-8),
         )
+
+
+@pytest.mark.parametrize("t, k, error", [
+    (math.nan, (0.4, 0.3), ValueError),
+    (math.inf, (0.4, 0.3), ValueError),
+    (1.0, (math.nan, 0.3), ValueError),
+    (1.0, (15.0, 0.0), NonConvergence),
+    (1e-4, (0.4, 0.3), NonConvergence),
+    (1e3, (0.4, 0.3), NonConvergence),
+])
+def test_out_of_range_input_raises_typed_error(t, k, error):
+    # each case once returned nan+nanj with a NaN estimate (t = inf raised
+    # ZeroDivisionError); a NaN or overflowing estimate is no convergence
+    with np.errstate(all="ignore"), pytest.raises(error):
+        psi_fresnel(BoundaryKind.DIRICHLET, t, PolarPoint(1.0, 0.3), PlaneWave(*k), SPEC)
+
+
+@pytest.mark.parametrize("t", [math.nan, math.inf])
+def test_table_rejects_non_finite_time(t):
+    with pytest.raises(ValueError):
+        build_table(BoundaryKind.DIRICHLET, t, PolarPoint(1.0, 0.3), 4, SPEC)
 
 
 def test_sample_metadata():
