@@ -330,8 +330,11 @@ def rho_max(spec: QuadratureSpec, t: float, r: float, B: float) -> float:
 
 def _paired_sum(kind, G, F, z1, z2, w2d) -> complex:
     """Sum of w2d * (D F(z1, z2) + sign * I F(-z1, z2)) over the grid, (D, I) = G."""
-    direct, image = eval_datum(F, np.stack((z1, -z1)), z2)
-    return complex(np.sum(w2d * (G[0] * direct + kind.sign * (G[1] * image))))
+    terms = eval_datum(F, np.multiply.outer((1.0, -1.0), z1), z2)
+    terms *= G
+    terms *= w2d
+    direct, image = terms.sum(axis=(1, 2))
+    return complex(direct + kind.sign * image)
 
 
 def _quad_value(kind, t, x, F, alpha, R, n_rho, n_theta, order):

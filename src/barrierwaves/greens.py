@@ -84,11 +84,20 @@ def _stable_scaled_erfcx(P, w):
     w = np.asarray(w, dtype=complex)
     grow = w.real < 0.0
     v = np.where(grow, -w, w)
-    small = np.exp(P) * wofz(1j * v)
-    fold = 2.0 * np.exp(P + w * w) - small
-    out = np.stack((small, fold))
-    np.copyto(out[0, ...], fold, where=grow)
-    np.copyto(out[1, ...], small, where=grow)
+    v *= 1j
+    out = np.empty((2,) + np.broadcast_shapes(P.shape, w.shape), dtype=complex)
+    small, fold = out[0, ...], out[1, ...]
+    np.multiply(np.exp(P), wofz(v), out=small)
+    # fold = 2*exp(P + w^2) - small, in place
+    np.multiply(w, w, out=fold)
+    fold += P
+    np.exp(fold, out=fold)
+    fold *= 2.0
+    fold -= small
+    # where Re(w) < 0, small holds the -w half: swap it into place
+    swap = small[grow]
+    small[grow] = fold[grow]
+    fold[grow] = swap
     return out
 
 
