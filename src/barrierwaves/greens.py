@@ -82,10 +82,11 @@ def _stable_scaled_erfcx(P, w):
     """
     P = np.asarray(P, dtype=complex)
     w = np.asarray(w, dtype=complex)
-    grow = w.real < 0.0
+    shape = np.broadcast_shapes(P.shape, w.shape)
+    grow = np.broadcast_to(w.real < 0.0, shape)
     v = np.where(grow, -w, w)
     v *= 1j
-    out = np.empty((2,) + np.broadcast_shapes(P.shape, w.shape), dtype=complex)
+    out = np.empty((2,) + shape, dtype=complex)
     small, fold = out[0, ...], out[1, ...]
     np.multiply(np.exp(P), wofz(v), out=small)
     # fold = 2*exp(P + w^2) - small, in place
