@@ -12,8 +12,6 @@ from .complexfn import (
     ToleranceNotReached,
     erfcx,
     erfcx_by_quadrature,
-    faddeeva_w,
-    gamma_real,
     log_mittag_leffler_half,
     mittag_leffler_half,
 )
@@ -21,7 +19,6 @@ from .geometry import (
     BoundaryError,
     CartesianPoint,
     PolarPoint,
-    RotatedRadialPoint,
     in_domain,
     on_barrier,
     to_cartesian,
@@ -57,10 +54,7 @@ from .operator import (
     apply_plane_wave,
     apply_taylor,
     build_table,
-    coeff,
     coeff_bound,
-    continuity_constant,
-    derivative_bound,
     log_continuity_constant,
     truncation_order,
 )
@@ -88,7 +82,6 @@ __all__ = [
     "PolarPoint",
     "QuadratureSpec",
     "RegularizedResult",
-    "RotatedRadialPoint",
     "StencilCrossesBarrier",
     "SuperoscParams",
     "SupershiftRow",
@@ -102,15 +95,10 @@ __all__ = [
     "apply_taylor",
     "build_table",
     "closed_form_fn",
-    "coeff",
     "coeff_bound",
-    "continuity_constant",
-    "derivative_bound",
     "erfcx",
     "erfcx_by_quadrature",
     "eval_datum",
-    "faddeeva_w",
-    "gamma_real",
     "greens",
     "greens_reduced",
     "greens_reduced_bound",

@@ -321,16 +321,14 @@ def parse_config(argv, file=None) -> argparse.Namespace:
     return cfg
 
 
+#: argparse dest -> QuadratureSpec field
+_SPEC_FIELDS = {"alpha": "alpha", "n_rho": "n_rho", "n_theta": "n_theta", "tol": "tol",
+                "panel_order": "panel_order", "rho_max": "fixed_rho_max"}
+
+
 def _spec_from_cfg(cfg, parser_error) -> QuadratureSpec:
-    kwargs = {}
-    for name in ("alpha", "n_rho", "n_theta", "tol", "panel_order"):
-        value = getattr(cfg, name, None)
-        if value is not None:
-            kwargs[name] = value
-    rho_max_value = getattr(cfg, "rho_max", None)
-    if rho_max_value is not None:
-        kwargs["rho_max_policy"] = "fixed"
-        kwargs["rho_max_value"] = rho_max_value
+    kwargs = {field: getattr(cfg, dest) for dest, field in _SPEC_FIELDS.items()
+              if getattr(cfg, dest, None) is not None}
     try:
         return QuadratureSpec(**kwargs)
     except ValueError as exc:
@@ -494,7 +492,7 @@ def run_coeffs(cfg, parser_error) -> int:
     spec = _spec_from_cfg(cfg, parser_error)
     try:
         table = build_table(cfg.kind, cfg.t, cfg.x, cfg.order, spec)
-    except (TailBoundUnsatisfiable, ValueError) as exc:
+    except (ArithmeticError, ValueError) as exc:
         print(f"coefficient table failed: {exc}", file=sys.stderr)
         return 1
     rows = [(n1, n2, c.real, c.imag, float(table.bound[n1, n2]))

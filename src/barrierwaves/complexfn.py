@@ -3,18 +3,17 @@
 Everything here is a plain complex-to-complex (or real-to-real) function
 with no geometry attached:
 
-* ``faddeeva_w``      -- the Faddeeva function w(z) = exp(-z^2) erfc(-iz)
 * ``erfcx``           -- the scaled complementary error function
                          exp(z^2) erfc(z) for complex argument, equal to
                          (2/sqrt(pi)) * Integral_0^inf exp(-s^2 - 2 z s) ds;
                          this is the boundary-layer factor of the propagator
 * ``erfcx_by_quadrature`` -- slow adaptive-quadrature reference for ``erfcx``
-* ``gamma_real``      -- Euler Gamma on a guarded real domain
 * ``mittag_leffler_half`` -- E_{1/2,1/2}, the growth envelope of the
                          operator-series bounds, plus a log-space companion
 
 ``erfcx`` and ``erfcx_by_quadrature`` are deliberately independent code
-paths: the former goes through the Faddeeva function, the latter integrates
+paths: the former goes through the Faddeeva function
+w(z) = exp(-z^2) erfc(-iz) (``scipy.special.wofz``), the latter integrates
 the defining integral directly, so each one cross-checks the other.
 """
 
@@ -29,33 +28,9 @@ from scipy.special import wofz
 SQRT_PI = math.sqrt(math.pi)
 TWO_OVER_SQRT_PI = 2.0 / SQRT_PI
 
-# exp overflows above this; used to fail fast instead of returning inf
-_LOG_DBL_MAX = math.log(np.finfo(float).max)
-
 
 class ToleranceNotReached(ArithmeticError):
     """Adaptive refinement hit its subdivision cap before converging."""
-
-
-def faddeeva_w(z):
-    """Faddeeva function w(z) = exp(-z**2) * erfc(-1j*z).
-
-    Parameters
-    ----------
-    z : complex or array_like
-        Evaluation point(s), any quadrant.
-
-    Returns
-    -------
-    complex or ndarray
-        w(z), relative accuracy ~1e-13.  On the closed upper half-plane
-        |w(z)| <= 1; in the lower half-plane the value grows like
-        2*exp(-z**2) and may overflow to inf for Im(z) << 0.  Callers that
-        need the growing branch at large arguments should fold the
-        exponential analytically (see ``greens``) instead of evaluating it
-        here.
-    """
-    return wofz(z)
 
 
 def erfcx(z):
@@ -116,23 +91,6 @@ def erfcx_by_quadrature(z, tol=1e-13):
         prev = total
         npanels *= 2
     raise ToleranceNotReached(f"erfcx quadrature did not reach tol={tol} at z={z}")
-
-
-def gamma_real(x):
-    """Euler Gamma for real x in [0.4, 200].
-
-    The window covers every half-integer and integer argument the
-    coefficient bounds need (Gamma((n+1)/2) for n up to the operator-order
-    cap) while staying clear of the poles and of overflow.
-
-    Raises
-    ------
-    ValueError
-        If x is outside [0.4, 200].
-    """
-    if not 0.4 <= x <= 200.0:
-        raise ValueError(f"gamma_real domain is [0.4, 200], got {x}")
-    return math.gamma(x)
 
 
 def mittag_leffler_half(x):

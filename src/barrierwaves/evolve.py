@@ -50,8 +50,7 @@ import numpy as np
 from numpy.polynomial.legendre import leggauss
 
 from .geometry import PHI_MAX, PHI_MIN, PolarPoint
-from .greens import BoundaryKind, _kernel_grid
-from .summation import compensated_array_sum
+from .greens import BoundaryKind, _check_time, _kernel_grid
 
 RHO_MAX_CAP = 1.0e4
 
@@ -83,11 +82,9 @@ class QuadratureSpec:
     tol : float
         Target absolute accuracy; drives the radial cutoff and the
         refinement check.
-    rho_max_policy : str
-        "auto" derives the radial cutoff from the tail majorant;
-        "fixed" uses ``rho_max_value`` as given.
-    rho_max_value : float or None
-        Cutoff used under the "fixed" policy.
+    fixed_rho_max : float or None
+        Radial cutoff to use as given; ``None`` derives it from the tail
+        majorant (``rho_max``).
     panel_order : int
         Gauss-Legendre order per panel.
     """
@@ -96,8 +93,7 @@ class QuadratureSpec:
     n_theta: int = 160
     n_rho: int = 192
     tol: float = 1e-7
-    rho_max_policy: str = "auto"
-    rho_max_value: float | None = None
+    fixed_rho_max: float | None = None
     panel_order: int = 16
 
     def __post_init__(self):
@@ -105,11 +101,8 @@ class QuadratureSpec:
             raise ValueError(f"alpha must lie in (0, pi/2), got {self.alpha}")
         if not self.tol > 0:
             raise ValueError(f"tol must be positive, got {self.tol}")
-        if self.rho_max_policy not in ("auto", "fixed"):
-            raise ValueError(f"unknown rho_max_policy {self.rho_max_policy!r}")
-        if self.rho_max_policy == "fixed":
-            if self.rho_max_value is None or not self.rho_max_value > 0:
-                raise ValueError("fixed policy needs a positive rho_max_value")
+        if self.fixed_rho_max is not None and not 0 < self.fixed_rho_max < math.inf:
+            raise ValueError(f"fixed_rho_max must be finite and positive, got {self.fixed_rho_max}")
         if self.panel_order < 2:
             raise ValueError("panel_order must be at least 2")
         if self.n_theta <= self.panel_order or self.n_rho <= self.panel_order:
@@ -217,13 +210,11 @@ def eval_datum(F: InitialDatum, z1, z2):
             out = out * z1 + inner
         return out
     if isinstance(F, DiscreteSuperposition):
-        z1 = np.asarray(z1, dtype=complex)
-        z2 = np.asarray(z2, dtype=complex)
-        terms = (
-            w * np.exp(1j * (k1 * z1 + k2 * z2))
-            for w, (k1, k2) in zip(F.weights, F.wavevectors)
-        )
-        return compensated_array_sum(terms)
+        # one exponent per (point, atom) on a trailing atom axis, then a matmul
+        ik = 1j * F.wavevectors
+        phase = np.multiply.outer(np.asarray(z1, dtype=complex), ik[:, 0])
+        phase = phase + np.multiply.outer(np.asarray(z2, dtype=complex), ik[:, 1])
+        return np.exp(phase, out=phase) @ F.weights
     raise TypeError(f"not an initial datum: {F!r}")
 
 
@@ -262,11 +253,6 @@ def _gauss_panels(a: float, b: float, n: int, order: int):
     return nodes, weights
 
 
-def _check_time(t: float) -> None:
-    if not 0 < t < math.inf:
-        raise ValueError(f"time must be finite and positive, got t={t}")
-
-
 def effective_growth_rate(B: float, degree: int, t: float, alpha: float) -> float:
     """Growth rate after absorbing a polynomial factor rho^degree.
 
@@ -299,8 +285,8 @@ def rho_max(spec: QuadratureSpec, t: float, r: float, B: float) -> float:
     _check_time(t)
     if not 0 <= B < math.inf:
         raise ValueError(f"growth rate must be finite and nonnegative, got B={B}")
-    if spec.rho_max_policy == "fixed":
-        return float(spec.rho_max_value)
+    if spec.fixed_rho_max is not None:
+        return float(spec.fixed_rho_max)
     a = math.sin(2.0 * spec.alpha) / (4.0 * t)
     b = 1.5 * r / t + B + 1.0
     mu = b / (2.0 * a)
@@ -337,17 +323,29 @@ def _paired_sum(kind, G, F, z1, z2, w2d) -> complex:
     return complex(direct + kind.sign * image)
 
 
-def _quad_value(kind, t, x, F, alpha, R, n_rho, n_theta, order):
-    """One tensor quadrature pass at the given node counts."""
+def _polar_rule(R: float, n_rho: int, n_theta: int, order: int, alpha: float = 0.0):
+    """Tensor rule of every quadrature: (rho, z, w_rho, theta, w_theta).
+
+    Radial nodes rho on [0, R] are placed in u = sqrt(rho), angular nodes
+    theta on the slit interval; ``z = rho * exp(1j*alpha)`` is the rotated
+    radius.  ``w_rho`` carries d rho = 2 u du and the polar Jacobian rho,
+    so Sum w_rho[i] w_theta[j] f(z[i], theta[j]) approximates
+    Int Int f(z, th) rho dth drho.
+    """
     u, wu = _gauss_panels(0.0, math.sqrt(R), n_rho, order)
     th, wth = _gauss_panels(PHI_MIN, PHI_MAX, n_theta, order)
     rho = u * u
     z = rho * complex(math.cos(alpha), math.sin(alpha))
+    return rho, z, 2.0 * u * wu * rho, th, wth
+
+
+def _quad_value(kind, t, x, F, alpha, R, n_rho, n_theta, order):
+    """One tensor quadrature pass at the given node counts."""
+    _, z, w_rho, th, wth = _polar_rule(R, n_rho, n_theta, order, alpha)
     G = _kernel_grid(t, x, z[:, None], th[None, :])
     z1 = z[:, None] * np.cos(th)[None, :]
     z2 = z[:, None] * np.sin(th)[None, :]
-    # d rho = 2 u du on top of the datum, kernel and polar Jacobian rho
-    w2d = (2.0 * u * wu * rho)[:, None] * wth[None, :]
+    w2d = w_rho[:, None] * wth[None, :]
     phase = complex(math.cos(2.0 * alpha), math.sin(2.0 * alpha))
     return phase * _paired_sum(kind, G, F, z1, z2, w2d)
 
@@ -464,14 +462,12 @@ def psi_regularized_oracle(kind: BoundaryKind, t: float, x: PolarPoint, F: Initi
         C = max(A, 1.0) / (math.pi * t)
         R = math.sqrt(max(math.log(C / (2.0 * eps * 1e-6)), 1.0) / eps)
         R = R * (1.0 + 0.1 * degree)
-        u, wu = _gauss_panels(0.0, math.sqrt(R), n_rho, order)
-        th, wth = _gauss_panels(PHI_MIN, PHI_MAX, n_theta, order)
-        rho = u * u
+        rho, _, w_rho, th, wth = _polar_rule(R, n_rho, n_theta, order)
         G = _kernel_grid(t, x, rho[:, None], th[None, :])
         y1 = rho[:, None] * np.cos(th)[None, :]
         y2 = rho[:, None] * np.sin(th)[None, :]
         damp = np.exp(-eps * rho * rho)
-        w2d = (2.0 * u * wu * rho * damp)[:, None] * wth[None, :]
+        w2d = (w_rho * damp)[:, None] * wth[None, :]
         values.append(_paired_sum(kind, G, F, y1, y2, w2d))
     # Lagrange extrapolation to eps = 0, full set and leave-first-out
     def lagrange_at_zero(xs, ys):

@@ -50,39 +50,6 @@ class PolarPoint:
             )
 
 
-@dataclass(frozen=True)
-class RotatedRadialPoint:
-    """Integration point with the radius rotated into the complex plane.
-
-    Describes ``z * (cos(theta), sin(theta))`` with ``z = rho * exp(1j*alpha)``.
-    The rotation angle alpha in (0, pi/2) turns the radial oscillation of the
-    propagator into Gaussian decay while keeping the angle theta real.
-    """
-
-    rho: float
-    alpha: float
-    theta: float
-
-    def __post_init__(self):
-        if self.rho < 0:
-            raise ValueError(f"RotatedRadialPoint needs rho >= 0, got {self.rho}")
-        if not 0.0 < self.alpha < HALF_PI:
-            raise ValueError(f"rotation angle must lie in (0, pi/2), got {self.alpha}")
-        if not PHI_MIN <= self.theta <= PHI_MAX:
-            raise ValueError(
-                f"angle must lie in [{PHI_MIN}, {PHI_MAX}], got {self.theta}"
-            )
-
-    @property
-    def z(self) -> complex:
-        return self.rho * complex(math.cos(self.alpha), math.sin(self.alpha))
-
-    @property
-    def components(self) -> tuple[complex, complex]:
-        z = self.z
-        return (z * math.cos(self.theta), z * math.sin(self.theta))
-
-
 def on_barrier(p: CartesianPoint) -> bool:
     """True if p lies on the barrier half-line (origin included)."""
     return p.x1 == 0.0 and p.x2 <= 0.0

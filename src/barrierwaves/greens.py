@@ -49,6 +49,11 @@ from .geometry import (
 _QUARTER_PI = 0.25 * math.pi
 
 
+def _check_time(t: float) -> None:
+    if not 0 < t < math.inf:
+        raise ValueError(f"time must be finite and positive, got t={t}")
+
+
 class StencilCrossesBarrier(ValueError):
     """A finite-difference stencil point fell on or across the barrier."""
 
@@ -118,8 +123,7 @@ def _kernel_grid(t: float, x: PolarPoint, z, theta, reduced=False):
     Shapes broadcast: the result has shape
     ``(2,) + np.broadcast(z, theta).shape``.
     """
-    if t <= 0:
-        raise ValueError(f"time must be positive, got t={t}")
+    _check_time(t)
     z = np.asarray(z, dtype=complex)
     theta = np.asarray(theta, dtype=float)
     r, phi = x.r, x.phi
@@ -183,8 +187,7 @@ def greens_reduced(kind: BoundaryKind, t: float, x: PolarPoint, z: complex, thet
 
 def greens_reduced_bound(t: float, r: float, zabs: float) -> float:
     """Envelope (1/(2 pi t)) * exp(3 r |z| / (2 t)) of the reduced kernel."""
-    if t <= 0:
-        raise ValueError(f"time must be positive, got t={t}")
+    _check_time(t)
     return math.exp(1.5 * r * zabs / t) / (2.0 * math.pi * t)
 
 

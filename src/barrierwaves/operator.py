@@ -13,13 +13,12 @@ with coefficients that are angular/radial moments of the propagator:
 
 Each coefficient obeys the certified bound ``coeff_bound``; a datum with
 derivative growth A*(e*B)^(n1+n2) then gives a convergent series whose
-total is controlled by ``continuity_constant``.  All tabulated c share one
-propagator evaluation on a single node set, so the operator route and the
-direct quadrature route differ only in the angular/radial weights.
+total is controlled by ``log_continuity_constant``.  All tabulated c share
+one propagator evaluation on the node set of ``evolve._polar_rule``, so the
+operator route and the direct quadrature route differ only in the
+angular/radial weights.
 
-The table order is capped at N = 60: beyond that the radial weights
-rho^(N+1) push the node products toward the edge of double range and the
-factorial rescalings lose their accuracy guarantees.
+The table order is capped at N = 60 (``N_CAP``).
 """
 
 from __future__ import annotations
@@ -32,16 +31,16 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import gammaln
 
-from .complexfn import gamma_real, log_mittag_leffler_half
-from .geometry import PHI_MAX, PHI_MIN, PolarPoint
-from .greens import BoundaryKind, _kernel_grid
+from .complexfn import log_mittag_leffler_half
+from .geometry import PolarPoint
+from .greens import BoundaryKind, _check_time, _kernel_grid
 from .evolve import (
+    NonConvergence,
     QuadratureSpec,
     TailBoundUnsatisfiable,
     TaylorField,
-    _check_time,
-    _gauss_panels,
     _node_ladder,
+    _polar_rule,
     effective_growth_rate,
     rho_max,
 )
@@ -54,25 +53,43 @@ class TruncationInsufficient(UserWarning):
     """The certified series tail at the requested argument exceeds the tolerance."""
 
 
-def coeff_bound(t: float, r: float, alpha: float, n1: int, n2: int) -> float:
-    """Certified bound on |c_{n1,n2}(t, x)|.
+def _log_bound_factors(t: float, r: float, alpha: float) -> tuple[float, float]:
+    """(log of pi^2/(2t) exp(9 r^2/(2 t sin 2alpha)), log of sqrt(16 t/sin 2alpha)).
+
+    The two order-independent factors of ``coeff_bound``.
+    """
+    s = math.sin(2.0 * alpha)
+    base = (
+        math.log(math.pi * math.pi / (2.0 * t))
+        + 4.5 * r * r / (t * s)
+    )
+    return base, 0.5 * math.log(16.0 * t / s)
+
+
+def coeff_bound(t: float, r: float, alpha: float, n1, n2):
+    """Certified bound on |c_{n1,n2}(t, x)|; broadcasts over arrays of orders.
 
     pi^2 / (2 t Gamma((n1+1)/2) Gamma((n2+1)/2))
         * (16 t / sin(2 alpha))^((n1+n2+2)/2) * exp(9 r^2 / (2 t sin(2 alpha)))
+
+    Evaluated in log space; a bound beyond double range is inf.
+
+    Raises
+    ------
+    ValueError
+        If t is not finite and positive, or an order is negative.
     """
-    if t <= 0:
-        raise ValueError(f"time must be positive, got t={t}")
-    if n1 < 0 or n2 < 0:
+    _check_time(t)
+    n1 = np.asarray(n1)
+    n2 = np.asarray(n2)
+    if np.any(n1 < 0) or np.any(n2 < 0):
         raise ValueError("orders must be nonnegative")
-    s = math.sin(2.0 * alpha)
-    g1 = gamma_real((n1 + 1) / 2.0)
-    g2 = gamma_real((n2 + 1) / 2.0)
-    m = n1 + n2
-    return (
-        math.pi * math.pi / (2.0 * t * g1 * g2)
-        * (16.0 * t / s) ** (0.5 * (m + 2))
-        * math.exp(4.5 * r * r / (t * s))
-    )
+    base, log_scale = _log_bound_factors(t, r, alpha)
+    log_b = (base + (n1 + n2 + 2) * log_scale
+             - gammaln((n1 + 1) / 2.0) - gammaln((n2 + 1) / 2.0))
+    with np.errstate(over="ignore"):
+        bound = np.exp(log_b)
+    return float(bound) if bound.ndim == 0 else bound
 
 
 @functools.lru_cache(maxsize=None)
@@ -100,12 +117,7 @@ def _log_majorant_terms(t: float, r: float, alpha: float, log_weight: float, m_m
     ``log_weight`` is the log of the per-order derivative weight (e.g.
     log(e*B) for a datum envelope, log(max|k_i|) for a plane wave).
     """
-    s = math.sin(2.0 * alpha)
-    base = (
-        math.log(math.pi * math.pi / (2.0 * t))
-        + 4.5 * r * r / (t * s)
-    )
-    log_scale = 0.5 * math.log(16.0 * t / s)
+    base, log_scale = _log_bound_factors(t, r, alpha)
     log_S = _log_gamma_pair_sums(1 << m_max.bit_length())[:m_max + 1]
     m = np.arange(m_max + 1)
     mw = m * log_weight
@@ -204,6 +216,8 @@ def build_table(kind: BoundaryKind, t: float, x: PolarPoint, N: int,
     ValueError
         If N exceeds the table cap (60) or is negative, or t is not finite
         and positive.
+    NonConvergence
+        If an entry or the refinement estimate is not finite.
     """
     if not 0 <= N <= N_CAP:
         raise ValueError(f"table order must lie in [0, {N_CAP}], got {N}")
@@ -212,14 +226,11 @@ def build_table(kind: BoundaryKind, t: float, x: PolarPoint, N: int,
     R = rho_max(spec, t, x.r, B_eff)
 
     def raw_moments(n_rho, n_theta):
-        u, wu = _gauss_panels(0.0, math.sqrt(R), n_rho, spec.panel_order)
-        th, wth = _gauss_panels(PHI_MIN, PHI_MAX, n_theta, spec.panel_order)
-        rho = u * u
-        z = rho * complex(math.cos(spec.alpha), math.sin(spec.alpha))
+        rho, z, w_rho, th, wth = _polar_rule(R, n_rho, n_theta, spec.panel_order, spec.alpha)
         G = _kernel_grid(t, x, z[:, None], th[None, :])
         # radial weights w * rho^(m+1) built multiplicatively
         radial = np.empty((N + 1, rho.size))
-        radial[0] = 2.0 * u * wu * rho
+        radial[0] = w_rho
         for m in range(1, N + 1):
             radial[m] = radial[m - 1] * rho
         T_direct, T_image = radial @ G  # each (N+1, n_theta)
@@ -255,11 +266,14 @@ def build_table(kind: BoundaryKind, t: float, x: PolarPoint, N: int,
     c = np.where(valid, scale * fine, 0.0)
     diff = np.abs(np.where(valid, scale * (fine - coarse), 0.0))
     est_error = float(diff.max())
+    # a NaN estimate fails this test too
+    if not (np.isfinite(c).all() and est_error < math.inf):
+        raise NonConvergence(
+            f"coefficient table at t={t}, r={x.r}, N={N} is not finite "
+            f"(refinement estimate {est_error:.3e})")
 
     bound = np.zeros((N + 1, N + 1))
-    for n1 in range(N + 1):
-        for n2 in range(N + 1 - n1):
-            bound[n1, n2] = coeff_bound(t, x.r, spec.alpha, n1, n2)
+    bound[valid] = coeff_bound(t, x.r, spec.alpha, n1g[valid], n2g[valid])
 
     x_ml = 4.0 * math.sqrt(t / math.sin(2.0 * spec.alpha))
     m_max = int(4.0 * x_ml * x_ml + 40.0 * x_ml + 200)
@@ -271,30 +285,6 @@ def build_table(kind: BoundaryKind, t: float, x: PolarPoint, N: int,
     bound.setflags(write=False)
     return CoeffTable(kind=kind, t=t, x=x, N=N, c=c, bound=bound,
                       tail_bound=tail_bound, est_error=est_error, spec=spec)
-
-
-def coeff(kind: BoundaryKind, t: float, x: PolarPoint, n1: int, n2: int,
-          spec: QuadratureSpec = QuadratureSpec(), order=None) -> complex:
-    """Single coefficient c_{n1,n2} through the shared-node table machinery.
-
-    ``order`` selects the table order (default n1+n2); passing the order of
-    an existing table reproduces that table's entry bit for bit, since the
-    node set and weights depend only on (kind, t, x, order, spec).
-    """
-    if order is None:
-        order = n1 + n2
-    if order < n1 + n2:
-        raise ValueError(f"order {order} cannot hold entry ({n1}, {n2})")
-    table = build_table(kind, t, x, order, spec)
-    return complex(table.c[n1, n2])
-
-
-def derivative_bound(A: float, B: float, n1: int, n2: int) -> float:
-    """Envelope A * (e*B)^(n1+n2) for the mixed derivatives at 0 of a datum
-    with |F(z)| <= A * exp(B |z|)."""
-    if A < 0 or B < 0:
-        raise ValueError("envelope parameters must be nonnegative")
-    return A * (math.e * B) ** (n1 + n2)
 
 
 def apply_taylor(table: CoeffTable, F: TaylorField) -> complex:
@@ -359,32 +349,24 @@ def apply_plane_wave(table: CoeffTable, k) -> complex:
     return complex(acc.value)
 
 
-def continuity_constant(t: float, r: float, alpha: float, B: float) -> float:
-    """Constant C(t, x) with |psi(F) - psi(G)| <= A_dist * C for data whose
-    difference has envelope A_dist * exp(B |z|):
+def log_continuity_constant(t: float, r: float, alpha: float, B: float) -> float:
+    """Natural log of the constant C(t, x) with |psi(F) - psi(G)| <= A_dist * C
+    for data whose difference has envelope A_dist * exp(B |z|):
 
         C = (8 pi^2 / sin 2 alpha) * exp(9 r^2 / (2 t sin 2 alpha))
             * E_{1/2,1/2}(4 e B sqrt(t) / sqrt(sin 2 alpha))^2
 
+    C itself overflows doubles already at moderate B; its log is finite for
+    all admissible inputs.
+
     Raises
     ------
-    OverflowError
-        If the value exceeds double range (use ``log_continuity_constant``).
+    ValueError
+        If t is not finite and positive, or B not finite and nonnegative.
     """
-    log_c = log_continuity_constant(t, r, alpha, B)
-    if log_c > math.log(np.finfo(float).max):
-        raise OverflowError(
-            f"continuity constant overflows double range (log={log_c:.6g}); "
-            f"use log_continuity_constant")
-    return math.exp(log_c)
-
-
-def log_continuity_constant(t: float, r: float, alpha: float, B: float) -> float:
-    """Natural log of ``continuity_constant``; finite for all admissible inputs."""
-    if t <= 0:
-        raise ValueError(f"time must be positive, got t={t}")
-    if B < 0:
-        raise ValueError(f"growth rate must be nonnegative, got B={B}")
+    _check_time(t)
+    if not 0 <= B < math.inf:
+        raise ValueError(f"growth rate must be finite and nonnegative, got B={B}")
     s = math.sin(2.0 * alpha)
     x = 4.0 * math.e * B * math.sqrt(t) / math.sqrt(s)
     return (

@@ -1,11 +1,9 @@
-"""Compensated accumulation helpers.
+"""Compensated accumulation for the operator series.
 
-The series in this package (special-function expansions, superoscillatory
-superpositions, operator applications) are cancellation-prone: partial sums
-can exceed the final value by many orders of magnitude.  All of them go
-through the Neumaier variant of Kahan summation below, which tracks a
-running correction term and loses no accuracy when a new term is larger
-than the current sum.
+``apply_taylor``, ``apply_plane_wave`` and ``supershift_experiment`` add
+their terms one by one through the Neumaier variant of Kahan summation
+below, which tracks a running correction term and loses no accuracy when a
+new term is larger than the current sum.
 """
 
 from __future__ import annotations
@@ -33,39 +31,3 @@ class CompensatedSum:
     @property
     def value(self):
         return self._sum + self._comp
-
-
-def compensated_sum(terms):
-    """Sum an iterable of scalars with Neumaier compensation."""
-    acc = None
-    for term in terms:
-        if acc is None:
-            acc = CompensatedSum(term * 0)
-        acc.add(term)
-    if acc is None:
-        return 0.0
-    return acc.value
-
-
-def compensated_array_sum(terms):
-    """Elementwise compensated sum of equally shaped arrays.
-
-    Used when accumulating atom-by-atom over sample grids: each ``term`` is
-    an array and the compensation runs independently per element.
-    """
-    it = iter(terms)
-    try:
-        first = np.array(next(it), copy=True)
-    except StopIteration:
-        return np.zeros(())
-    total = first
-    comp = np.zeros_like(total)
-    for term in it:
-        t = np.asarray(term)
-        s = total + t
-        swap = abs(total) < abs(t)
-        big = np.where(swap, t, total)
-        small = np.where(swap, total, t)
-        comp = comp + ((big - s) + small)
-        total = s
-    return total + comp

@@ -269,6 +269,15 @@ def test_coeffs_table_output(tmp_path):
         assert mag <= float(r[4])
 
 
+def test_coeffs_non_finite_table_fails_cleanly(tmp_path, capsys):
+    out = tmp_path / "c.csv"
+    with np.errstate(all="ignore"):
+        rc = main(["coeffs", "--t", "1e-4", "--x", "1,0.3", "--order", "4", "--out", str(out)])
+    assert rc == 1
+    assert "coefficient table failed" in capsys.readouterr().err
+    assert not out.exists()
+
+
 # ----------------------------------------------------------------------------
 # supershift subcommand
 # ----------------------------------------------------------------------------

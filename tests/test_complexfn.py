@@ -13,8 +13,6 @@ from barrierwaves.complexfn import (
     ToleranceNotReached,
     erfcx,
     erfcx_by_quadrature,
-    faddeeva_w,
-    gamma_real,
     log_mittag_leffler_half,
     mittag_leffler_half,
 )
@@ -27,27 +25,6 @@ ERFCX_AT_ONE = 0.42758357615580700442
 def test_module_constants():
     assert SQRT_PI == pytest.approx(math.sqrt(math.pi), rel=1e-15)
     assert TWO_OVER_SQRT_PI == pytest.approx(2.0 / math.sqrt(math.pi), rel=1e-15)
-
-
-# ----------------------------------------------------------------------------
-# Faddeeva function
-# ----------------------------------------------------------------------------
-
-
-def test_faddeeva_at_zero():
-    assert faddeeva_w(0.0) == pytest.approx(1.0, abs=1e-14)
-
-
-def test_faddeeva_reflection():
-    z = 0.7 + 0.3j
-    lhs = faddeeva_w(-z)
-    rhs = 2.0 * np.exp(-z * z) - faddeeva_w(z)
-    assert abs(lhs - rhs) < 1e-13 * abs(rhs)
-
-
-def test_faddeeva_on_imaginary_axis_matches_erfcx():
-    # w(i y) = e^{y^2} erfc(y) for real y.
-    assert faddeeva_w(1j) == pytest.approx(ERFCX_AT_ONE, rel=1e-13)
 
 
 # ----------------------------------------------------------------------------
@@ -164,32 +141,6 @@ def test_oracle_unreachable_tolerance():
 
 
 # ----------------------------------------------------------------------------
-# Real gamma
-# ----------------------------------------------------------------------------
-
-
-def test_gamma_small_integers_and_half():
-    assert gamma_real(1.0) == pytest.approx(1.0, rel=1e-14)
-    assert gamma_real(0.5) == pytest.approx(math.sqrt(math.pi), rel=1e-14)
-    assert gamma_real(5.0) == pytest.approx(24.0, rel=1e-14)
-
-
-def test_gamma_recurrence():
-    xs = np.linspace(0.5, 100.0, 400)
-    for x in xs:
-        lhs = gamma_real(x + 1.0)
-        rhs = x * gamma_real(x)
-        assert abs(lhs - rhs) <= 1e-11 * abs(rhs)
-
-
-def test_gamma_domain_limits():
-    with pytest.raises(ValueError):
-        gamma_real(0.2)
-    with pytest.raises(ValueError):
-        gamma_real(201.0)
-
-
-# ----------------------------------------------------------------------------
 # Half-order Mittag-Leffler sum
 # ----------------------------------------------------------------------------
 
@@ -208,13 +159,9 @@ def test_mittag_leffler_shift_identity():
 
 
 def test_mittag_leffler_against_partial_sum_oracle():
-    from barrierwaves.summation import CompensatedSum
-
     x = 1.0
-    acc = CompensatedSum()
-    for n in range(200):
-        acc.add(x**n / gamma_real(n / 2.0 + 0.5))
-    assert mittag_leffler_half(x) == pytest.approx(acc.value, rel=1e-13)
+    partial = math.fsum(x**n / math.gamma(n / 2.0 + 0.5) for n in range(200))
+    assert mittag_leffler_half(x) == pytest.approx(partial, rel=1e-13)
 
 
 def test_mittag_leffler_overflow():
@@ -250,8 +197,3 @@ def test_reflection_property(z):
     scale = max(abs(erfcx(z)), abs(erfcx(-z)), abs(rhs))
     assert abs(lhs - rhs) <= 1e-12 * scale
 
-
-@given(st.floats(min_value=0.5, max_value=99.0))
-@settings(max_examples=200, deadline=None)
-def test_gamma_recurrence_property(x):
-    assert abs(gamma_real(x + 1.0) - x * gamma_real(x)) <= 1e-11 * abs(x * gamma_real(x))

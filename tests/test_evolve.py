@@ -96,10 +96,9 @@ def test_spec_validation():
             QuadratureSpec(**kwargs)
     with pytest.raises(ValueError):
         QuadratureSpec(tol=0.0)
-    with pytest.raises(ValueError):
-        QuadratureSpec(rho_max_policy="sometimes")
-    with pytest.raises(ValueError):
-        QuadratureSpec(rho_max_policy="fixed")
+    for bad in (0.0, -1.0, math.inf, math.nan):
+        with pytest.raises(ValueError):
+            QuadratureSpec(fixed_rho_max=bad)
 
 
 def test_rho_max_monotone_in_growth():
@@ -126,7 +125,7 @@ def test_rho_max_shrinks_at_best_rotation():
 
 
 def test_rho_max_fixed_policy():
-    spec = QuadratureSpec(rho_max_policy="fixed", rho_max_value=7.5)
+    spec = QuadratureSpec(fixed_rho_max=7.5)
     assert rho_max(spec, 1.0, 1.0, 3.0) == 7.5
 
 

@@ -12,7 +12,6 @@ from barrierwaves.geometry import (
     BoundaryError,
     CartesianPoint,
     PolarPoint,
-    RotatedRadialPoint,
     in_domain,
     on_barrier,
     to_cartesian,
@@ -100,25 +99,6 @@ def test_polar_point_validation():
     # Both faces of the screen are legitimate limits of the open sector.
     PolarPoint(1.0, PHI_MIN)
     PolarPoint(1.0, PHI_MAX)
-
-
-def test_rotated_radial_point():
-    q = RotatedRadialPoint(2.0, math.pi / 4, 0.3)
-    assert q.z == pytest.approx(2.0 * complex(math.cos(math.pi / 4), math.sin(math.pi / 4)))
-    z1, z2 = q.components
-    assert z1 == pytest.approx(q.z * math.cos(0.3))
-    assert z2 == pytest.approx(q.z * math.sin(0.3))
-
-
-def test_rotated_radial_point_validation():
-    with pytest.raises(ValueError):
-        RotatedRadialPoint(-1.0, math.pi / 4, 0.0)
-    with pytest.raises(ValueError):
-        RotatedRadialPoint(1.0, 0.0, 0.0)
-    with pytest.raises(ValueError):
-        RotatedRadialPoint(1.0, math.pi / 2, 0.0)
-    with pytest.raises(ValueError):
-        RotatedRadialPoint(1.0, math.pi / 4, PHI_MAX + 0.1)
 
 
 # ----------------------------------------------------------------------------

@@ -11,12 +11,14 @@ from barrierwaves.geometry import CartesianPoint, PolarPoint
 from barrierwaves.greens import (
     BoundaryKind,
     StencilCrossesBarrier,
+    _kernel_grid,
     greens,
     greens_reduced,
     greens_reduced_bound,
     greens_rotated,
     schrodinger_residual,
 )
+from barrierwaves.operator import coeff_bound, log_continuity_constant
 
 T = 0.7
 X = PolarPoint(1.0, 0.3)
@@ -115,6 +117,22 @@ def test_nonpositive_time_rejected():
         greens(BoundaryKind.DIRICHLET, 0.0, X, Y)
     with pytest.raises(ValueError):
         greens(BoundaryKind.DIRICHLET, -1.0, X, Y)
+
+
+@pytest.mark.parametrize("t", [math.nan, math.inf])
+@pytest.mark.parametrize("call", [
+    lambda t: greens(BoundaryKind.DIRICHLET, t, X, Y),
+    lambda t: greens_rotated(BoundaryKind.NEUMANN, t, X, 1.0 + 0.5j, 0.4),
+    lambda t: greens_reduced(BoundaryKind.DIRICHLET, t, X, 1.0 + 0.5j, 0.4),
+    lambda t: _kernel_grid(t, X, np.array([1.0 + 0.5j]), np.array([0.4])),
+    lambda t: greens_reduced_bound(t, 1.0, 2.0),
+    lambda t: coeff_bound(t, 1.0, math.pi / 4, 2, 3),
+    lambda t: log_continuity_constant(t, 1.0, math.pi / 4, 0.5),
+], ids=["greens", "greens_rotated", "greens_reduced", "kernel_grid",
+        "greens_reduced_bound", "coeff_bound", "log_continuity_constant"])
+def test_non_finite_time_rejected(call, t):
+    with pytest.raises(ValueError):
+        call(t)
 
 
 # ----------------------------------------------------------------------------

@@ -111,6 +111,20 @@ def test_closed_form_sweep():
             assert abs(closed_form_fn(p, z1, z2) - eval_datum(seq, z1, z2)) <= 1e-8
 
 
+@pytest.mark.parametrize("n", [4, 16, 32])
+def test_superposition_error_at_rounding_scale(n):
+    # the atoms have |k| <= 1 per component, so each term is bounded by
+    # |C_j| exp(|Im z1| + |Im z2|); the sum must be exact to rounding of that
+    rng = np.random.default_rng(n)
+    z1 = rng.uniform(-4, 4, 200) + 1j * rng.uniform(-2, 2, 200)
+    z2 = rng.uniform(-4, 4, 200) + 1j * rng.uniform(-2, 2, 200)
+    p = SuperoscParams(2.0, 1, 1, n)
+    seq = superosc_sequence(p)
+    scale = np.sum(np.abs(seq.weights)) * np.exp(np.abs(z1.imag) + np.abs(z2.imag))
+    err = np.abs(eval_datum(seq, z1, z2) - closed_form_fn(p, z1, z2))
+    assert np.all(err <= 1e-15 * scale)
+
+
 def test_closed_form_rejects_mixed_powers():
     with pytest.raises(ValueError):
         closed_form_fn(SuperoscParams(2.0, 1, 2, 4), 0.1, 0.1)
