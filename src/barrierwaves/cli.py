@@ -43,6 +43,7 @@ from .evolve import (
 from .operator import (
     N_CAP,
     TruncationInsufficient,
+    _require_finite_bounds,
     apply_plane_wave,
     apply_taylor,
     build_table,
@@ -419,6 +420,7 @@ def _operator_value(kind, t, pol, F, spec):
         N = N_CAP
     N = min(max(N, degree), N_CAP)
     table = build_table(kind, t, pol, N, spec)
+    _require_finite_bounds(table)
     if isinstance(F, PlaneWave):
         return apply_plane_wave(table, (F.k1, F.k2))
     return apply_taylor(table, F)
@@ -492,6 +494,7 @@ def run_coeffs(cfg, parser_error) -> int:
     spec = _spec_from_cfg(cfg, parser_error)
     try:
         table = build_table(cfg.kind, cfg.t, cfg.x, cfg.order, spec)
+        _require_finite_bounds(table)
     except (ArithmeticError, ValueError) as exc:
         print(f"coefficient table failed: {exc}", file=sys.stderr)
         return 1

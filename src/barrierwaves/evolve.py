@@ -194,7 +194,12 @@ class WaveSample:
 
 
 def eval_datum(F: InitialDatum, z1, z2):
-    """Evaluate the datum at (z1, z2); broadcasts over array arguments."""
+    """Evaluate the datum at (z1, z2); broadcasts over array arguments.
+
+    A ``DiscreteSuperposition`` forms one complex exponent per point and
+    atom, so it holds an array of the broadcast shape times the atom count
+    (about 17 MB for ``psi_fresnel``'s finest default level at n = 16).
+    """
     if isinstance(F, PlaneWave):
         return np.exp(1j * (F.k1 * np.asarray(z1, dtype=complex) + F.k2 * np.asarray(z2, dtype=complex)))
     if isinstance(F, TaylorField):

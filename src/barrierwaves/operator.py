@@ -287,6 +287,19 @@ def build_table(kind: BoundaryKind, t: float, x: PolarPoint, N: int,
                       tail_bound=tail_bound, est_error=est_error, spec=spec)
 
 
+def _require_finite_bounds(table: CoeffTable) -> None:
+    """Raise ``NonConvergence`` when a coefficient bound is beyond double range.
+
+    ``build_table`` returns such a table with finite entries and an honest,
+    huge ``est_error``; callers that use the entries reject it here.  For
+    small t this is where exp(9 r^2 / (2 t sin 2alpha)) leaves double range.
+    """
+    if np.isinf(table.bound).any():
+        raise NonConvergence(
+            f"coefficient bounds at t={table.t}, r={table.x.r}, N={table.N} "
+            f"exceed double range (refinement estimate {table.est_error:.3e})")
+
+
 def apply_taylor(table: CoeffTable, F: TaylorField) -> complex:
     """Apply the tabulated operator to polynomial data.
 

@@ -28,6 +28,7 @@ from .evolve import DiscreteSuperposition, QuadratureSpec, eval_datum
 from .operator import (
     N_CAP,
     TruncationInsufficient,
+    _require_finite_bounds,
     apply_plane_wave,
     build_table,
     log_continuity_constant,
@@ -205,6 +206,12 @@ def supershift_experiment(kind: BoundaryKind, t: float, x: PolarPoint,
     warning reports that the run leans on empirical coefficient decay.
 
     Returns a list of ``SupershiftRow`` with n ascending.
+
+    Raises
+    ------
+    NonConvergence
+        If the table is not finite or its coefficient bounds exceed double
+        range (small t against r^2).
     """
     params0 = SuperoscParams(a=a, p1=p1, p2=p2, n=max(n_list))
     a_norm = math.hypot(*params0.a_vec)
@@ -219,6 +226,7 @@ def supershift_experiment(kind: BoundaryKind, t: float, x: PolarPoint,
             f"relying on empirical coefficient decay",
             TruncationInsufficient, stacklevel=2)
     table = build_table(kind, t, x, N, spec)
+    _require_finite_bounds(table)
     log_c = log_continuity_constant(t, x.r, spec.alpha, growth)
     log_dbl_max = math.log(np.finfo(float).max)
     with warnings.catch_warnings():

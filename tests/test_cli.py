@@ -278,6 +278,22 @@ def test_coeffs_non_finite_table_fails_cleanly(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("argv", [
+    ["coeffs", "--order", "4"],
+    ["field", "--method", "operator", "--plane-wave", "1,0.5"],
+    ["supershift", "--n-list", "2,4"],
+])
+def test_table_with_unbounded_coefficients_fails_cleanly(tmp_path, capsys, argv):
+    # at r = 1, t = 1e-3 the entries are finite but every bound exceeds
+    # double range, so no command may write the table's values
+    out = tmp_path / "o.csv"
+    with np.errstate(all="ignore"):
+        rc = main(argv + ["--t", "1e-3", "--x", "1,0.3", "--out", str(out)])
+    assert rc == 1
+    assert "exceed double range" in capsys.readouterr().err
+    assert not out.exists()
+
+
 # ----------------------------------------------------------------------------
 # supershift subcommand
 # ----------------------------------------------------------------------------
