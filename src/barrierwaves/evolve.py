@@ -402,16 +402,18 @@ def psi_fresnel(kind: BoundaryKind, t: float, x: PolarPoint, F: InitialDatum,
     tail_spec = spec if A <= 1.0 else replace(spec, tol=spec.tol / A)
     R = rho_max(tail_spec, t, x.r, B_eff)
     levels = _node_ladder(spec)
-    coarse = _quad_value(kind, t, x, F, spec.alpha, R, *levels[0], spec.panel_order)
-    for n_rho, n_theta in levels[1:]:
-        fine = _quad_value(kind, t, x, F, spec.alpha, R, n_rho, n_theta, spec.panel_order)
-        try:
-            est = abs(fine - coarse)
-        except OverflowError:
-            est = math.inf
-        if est <= spec.tol:
-            break
-        coarse = fine
+    # an overflowing kernel leaves a non-finite estimate, which is rejected below
+    with np.errstate(over="ignore", invalid="ignore"):
+        coarse = _quad_value(kind, t, x, F, spec.alpha, R, *levels[0], spec.panel_order)
+        for n_rho, n_theta in levels[1:]:
+            fine = _quad_value(kind, t, x, F, spec.alpha, R, n_rho, n_theta, spec.panel_order)
+            try:
+                est = abs(fine - coarse)
+            except OverflowError:
+                est = math.inf
+            if est <= spec.tol:
+                break
+            coarse = fine
     # a NaN estimate fails this test too, so no NaN leaves as converged
     if not est <= 10.0 * spec.tol:
         raise NonConvergence(

@@ -23,8 +23,8 @@ The table order is capped at N = 60 (``N_CAP``).
 
 from __future__ import annotations
 
-import functools
 import math
+import threading
 import warnings
 from dataclasses import dataclass
 
@@ -92,23 +92,33 @@ def coeff_bound(t: float, r: float, alpha: float, n1, n2):
     return float(bound) if bound.ndim == 0 else bound
 
 
-@functools.lru_cache(maxsize=None)
-def _log_gamma_pair_sums(size: int) -> np.ndarray:
-    """log of S_m = sum_{n1+n2=m} 1 / (Gamma((n1+1)/2) Gamma((n2+1)/2)), m < size.
+_log_S_memo = np.empty(0)
+_log_S_lock = threading.Lock()
 
-    S_m depends on m alone, so it is computed once per power-of-two
-    ``size`` and shared by every majorant; each entry is the same
-    arithmetic whatever the size.
+
+def _log_gamma_pair_sums(m_max: int) -> np.ndarray:
+    """log of S_m = sum_{n1+n2=m} 1 / (Gamma((n1+1)/2) Gamma((n2+1)/2)), m <= m_max.
+
+    S_m depends on m alone, so every majorant reads one shared memo.  The
+    memo grows to the next power of two when asked past its end; each
+    entry is computed once, with the same arithmetic whatever the size.
     """
-    half_gammaln = gammaln((np.arange(size) + 1) / 2.0)
-    out = np.empty(size)
-    for m in range(size):
-        n1 = np.arange(m + 1)
-        logs = -half_gammaln[n1] - half_gammaln[m - n1]
-        peak = logs.max()
-        out[m] = peak + math.log(np.sum(np.exp(logs - peak)))
-    out.setflags(write=False)
-    return out
+    global _log_S_memo
+    with _log_S_lock:
+        memo = _log_S_memo
+        if memo.size <= m_max:
+            size = 1 << m_max.bit_length()
+            half_gammaln = gammaln((np.arange(size) + 1) / 2.0)
+            neg = -half_gammaln
+            grown = np.empty(size)
+            grown[:memo.size] = memo
+            for m in range(memo.size, size):
+                logs = neg[:m + 1] - half_gammaln[m::-1]
+                peak = logs.max()
+                grown[m] = peak + math.log(np.sum(np.exp(logs - peak)))
+            grown.setflags(write=False)
+            _log_S_memo = memo = grown
+    return memo[:m_max + 1]
 
 
 def _log_majorant_terms(t: float, r: float, alpha: float, log_weight: float, m_max: int):
@@ -118,7 +128,7 @@ def _log_majorant_terms(t: float, r: float, alpha: float, log_weight: float, m_m
     log(e*B) for a datum envelope, log(max|k_i|) for a plane wave).
     """
     base, log_scale = _log_bound_factors(t, r, alpha)
-    log_S = _log_gamma_pair_sums(1 << m_max.bit_length())[:m_max + 1]
+    log_S = _log_gamma_pair_sums(m_max)
     m = np.arange(m_max + 1)
     mw = m * log_weight
     mw[0] = 0.0
@@ -251,10 +261,6 @@ def build_table(kind: BoundaryKind, t: float, x: PolarPoint, N: int,
             raw[n1, :count] = np.einsum("j,nj,nj->n", u1, sin_pows[:count], T[n1 % 2][n1:n1 + count])
         return raw
 
-    fine = raw_moments(spec.n_rho, spec.n_theta)
-    # the level below the finest on psi_fresnel's ladder: half the panels
-    coarse = raw_moments(*_node_ladder(spec)[-2])
-
     inv_fact = np.ones(N + 1)
     for n in range(1, N + 1):
         inv_fact[n] = inv_fact[n - 1] / n
@@ -263,8 +269,13 @@ def build_table(kind: BoundaryKind, t: float, x: PolarPoint, N: int,
     valid = mg <= N
     phase = np.exp(1j * spec.alpha * (mg + 2))
     scale = phase * inv_fact[n1g] * inv_fact[n2g]
-    c = np.where(valid, scale * fine, 0.0)
-    diff = np.abs(np.where(valid, scale * (fine - coarse), 0.0))
+    # an overflowing kernel leaves a non-finite table, which is rejected below
+    with np.errstate(over="ignore", invalid="ignore"):
+        fine = raw_moments(spec.n_rho, spec.n_theta)
+        # the level below the finest on psi_fresnel's ladder: half the panels
+        coarse = raw_moments(*_node_ladder(spec)[-2])
+        c = np.where(valid, scale * fine, 0.0)
+        diff = np.abs(np.where(valid, scale * (fine - coarse), 0.0))
     est_error = float(diff.max())
     # a NaN estimate fails this test too
     if not (np.isfinite(c).all() and est_error < math.inf):
@@ -300,46 +311,73 @@ def _require_finite_bounds(table: CoeffTable) -> None:
             f"exceed double range (refinement estimate {table.est_error:.3e})")
 
 
+def _graded_sum(order_terms, N: int, shape=()):
+    """sum over m = 0..N of order_terms(m).sum(axis=-1), compensated across orders.
+
+    ``order_terms(m)`` holds the terms with n1 + n2 = m along its last axis;
+    each order is reduced by numpy's pairwise sum, and the N + 1 partial
+    sums, of the given shape, go through one ``CompensatedSum``.
+    """
+    acc = CompensatedSum(np.zeros(shape, dtype=complex))
+    for m in range(N + 1):
+        acc.add(np.sum(order_terms(m), axis=-1))
+    return acc.value
+
+
 def apply_taylor(table: CoeffTable, F: TaylorField) -> complex:
     """Apply the tabulated operator to polynomial data.
 
-    sum c[n1, n2] * n1! * n2! * f[n1, n2] in graded lexicographic order
-    with compensated accumulation.  The polynomial must fit inside the
-    table order.
+    sum c[n1, n2] * n1! * n2! * f[n1, n2], summed order by order
+    (n1 + n2 = m) and compensated across orders.  The polynomial must fit
+    inside the table order.
 
     Raises
     ------
     ValueError
         If the datum degree exceeds the table order.
     """
-    if F.degree > table.N:
-        raise ValueError(f"datum degree {F.degree} exceeds table order {table.N}")
-    fact = np.ones(table.N + 1)
-    for n in range(1, table.N + 1):
+    N = table.N
+    if F.degree > N:
+        raise ValueError(f"datum degree {F.degree} exceeds table order {N}")
+    fact = np.ones(N + 1)
+    for n in range(1, N + 1):
         fact[n] = fact[n - 1] * n
-    rows, cols = F.coeffs.shape
-    acc = CompensatedSum(0.0 + 0.0j)
-    for m in range(table.N + 1):
-        for n1 in range(m + 1):
-            n2 = m - n1
-            if n1 < rows and n2 < cols:
-                f = F.coeffs[n1, n2]
-                if f != 0:
-                    acc.add(table.c[n1, n2] * fact[n1] * fact[n2] * f)
-    return complex(acc.value)
+    # rows or columns past the table order hold only zeros (degree <= N)
+    f = F.coeffs[:N + 1, :N + 1]
+    rows, cols = f.shape
+    terms = np.zeros((N + 1, N + 1), dtype=complex)
+    terms[:rows, :cols] = table.c[:rows, :cols] * fact[:rows, None] * fact[None, :cols] * f
+    # terms[n1, m - n1] for n1 = 0..m: an anti-diagonal of the flipped table
+    flipped = terms[:, ::-1]
+    return complex(_graded_sum(lambda m: np.diagonal(flipped, offset=N - m), N))
 
 
-def apply_plane_wave(table: CoeffTable, k) -> complex:
+def apply_plane_wave(table: CoeffTable, k):
     """Apply the tabulated operator to exp(1j*(k1 z1 + k2 z2)).
 
-    The mixed derivatives at 0 are (1j k1)^n1 (1j k2)^n2, so the result is
-    the bivariate power series of the solution in k truncated at the table
-    order; it is an entire function of both components.  Emits a
-    ``TruncationInsufficient`` warning when the certified tail at
-    max(|k1|, |k2|) exceeds the table's quadrature tolerance.
+    ``k`` is one wavevector of shape (2,), which gives a complex number, or
+    a batch of shape (K, 2), which gives a (K,) array; both take the same
+    path, so each row of a batch equals the single-wavevector result bit
+    for bit.  The mixed derivatives at 0 are (1j k1)^n1 (1j k2)^n2, so the
+    result is the bivariate power series of the solution in k truncated at
+    the table order; it is an entire function of both components.  The
+    terms of each order n1 + n2 = m are summed for all wavevectors at once,
+    and the N + 1 order sums are compensated.
+
+    Emits one ``TruncationInsufficient`` warning per call when the certified
+    tail at the largest component modulus in the batch exceeds the table's
+    quadrature tolerance.
+
+    Raises
+    ------
+    ValueError
+        If ``k`` is not of shape (2,) or (K, 2).
     """
-    k1, k2 = complex(k[0]), complex(k[1])
-    kappa = max(abs(k1), abs(k2))
+    k = np.asarray(k, dtype=complex)
+    if k.shape != (2,) and (k.ndim != 2 or k.shape[1] != 2):
+        raise ValueError(f"wavevectors must have shape (2,) or (K, 2), got {k.shape}")
+    batch = k.reshape(-1, 2)
+    kappa = float(np.abs(batch).max()) if batch.size else 0.0
     if kappa > 0:
         log_terms = _log_majorant_terms(
             table.t, table.x.r, table.spec.alpha, math.log(kappa),
@@ -349,17 +387,21 @@ def apply_plane_wave(table: CoeffTable, k) -> complex:
                 f"certified series tail at |k|={kappa:.3g} exceeds tol={table.spec.tol}; "
                 f"result relies on empirical coefficient decay",
                 TruncationInsufficient, stacklevel=2)
-    ik1, ik2 = 1j * k1, 1j * k2
-    pow1 = np.ones(table.N + 1, dtype=complex)
-    pow2 = np.ones(table.N + 1, dtype=complex)
-    for n in range(1, table.N + 1):
-        pow1[n] = pow1[n - 1] * ik1
-        pow2[n] = pow2[n - 1] * ik2
-    acc = CompensatedSum(0.0 + 0.0j)
-    for m in range(table.N + 1):
-        for n1 in range(m + 1):
-            acc.add(table.c[n1, m - n1] * pow1[n1] * pow2[m - n1])
-    return complex(acc.value)
+    N = table.N
+    ik = 1j * batch
+    pow1 = np.ones((batch.shape[0], N + 1), dtype=complex)
+    pow2 = np.ones((batch.shape[0], N + 1), dtype=complex)
+    for n in range(1, N + 1):
+        pow1[:, n] = pow1[:, n - 1] * ik[:, 0]
+        pow2[:, n] = pow2[:, n - 1] * ik[:, 1]
+    # c[n1, m - n1] for n1 = 0..m: an anti-diagonal of the flipped table
+    flipped = table.c[:, ::-1]
+
+    def order_terms(m):
+        return np.diagonal(flipped, offset=N - m) * pow1[:, :m + 1] * pow2[:, m::-1]
+
+    value = _graded_sum(order_terms, N, batch.shape[:1])
+    return complex(value[0]) if k.ndim == 1 else value
 
 
 def log_continuity_constant(t: float, r: float, alpha: float, B: float) -> float:

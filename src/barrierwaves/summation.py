@@ -1,9 +1,12 @@
 """Compensated accumulation for the operator series.
 
-``apply_taylor``, ``apply_plane_wave`` and ``supershift_experiment`` add
-their terms one by one through the Neumaier variant of Kahan summation
-below, which tracks a running correction term and loses no accuracy when a
-new term is larger than the current sum.
+``apply_taylor`` and ``apply_plane_wave`` sum the terms of each order
+n1 + n2 = m with numpy and add the N + 1 order sums through the Neumaier
+variant of Kahan summation below; for a batch of wavevectors the
+accumulator holds one array of partial sums.  ``supershift_experiment``
+adds the n + 1 weighted atoms of each F_n through it, which is where the
+alternating weights cancel.  The accumulator tracks a running correction
+term and loses no accuracy when a new term is larger than the current sum.
 """
 
 from __future__ import annotations
@@ -12,7 +15,7 @@ import numpy as np
 
 
 class CompensatedSum:
-    """Neumaier compensated accumulator for real or complex scalars."""
+    """Neumaier compensated accumulator for real or complex scalars or arrays (elementwise)."""
 
     __slots__ = ("_sum", "_comp")
 

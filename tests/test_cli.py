@@ -3,10 +3,15 @@
 import csv
 import importlib
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import barrierwaves
 from barrierwaves.cli import main, parse_config, write_csv, write_pgm
 from barrierwaves.geometry import PolarPoint
 from barrierwaves.greens import BoundaryKind, greens
@@ -276,6 +281,20 @@ def test_coeffs_non_finite_table_fails_cleanly(tmp_path, capsys):
     assert rc == 1
     assert "coefficient table failed" in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_coeffs_overflow_prints_no_runtime_warning(tmp_path):
+    # in a fresh interpreter with default warning filters, the typed error
+    # is the only thing the overflowing kernel leaves on stderr
+    env = dict(os.environ, PYTHONPATH=str(Path(barrierwaves.__file__).parents[1]),
+               PYTHONWARNINGS="default")
+    proc = subprocess.run(
+        [sys.executable, "-m", "barrierwaves.cli", "coeffs", "--kind", "neumann",
+         "--t", "1e-4", "--x=1,0.3", "--order", "20", "--out", str(tmp_path / "c.csv")],
+        capture_output=True, text=True, env=env, cwd=tmp_path)
+    assert proc.returncode == 1
+    assert "coefficient table failed" in proc.stderr
+    assert "Warning" not in proc.stderr
 
 
 @pytest.mark.parametrize("argv", [

@@ -1,6 +1,7 @@
 """Tests for the rotated-contour evaluation of the time-dependent solution."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -327,6 +328,15 @@ def test_out_of_range_input_raises_typed_error(t, k, error):
     # ZeroDivisionError); a NaN or overflowing estimate is no convergence
     with np.errstate(all="ignore"), pytest.raises(error):
         psi_fresnel(BoundaryKind.DIRICHLET, t, PolarPoint(1.0, 0.3), PlaneWave(*k), SPEC)
+
+
+@pytest.mark.parametrize("t, k", [(1e-4, (0.4, 0.3)), (1e3, (0.4, 0.3)), (1.0, (15.0, 0.0))])
+def test_out_of_range_input_raises_without_runtime_warnings(t, k):
+    # the typed error alone reports the overflow: numpy warns about nothing
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NonConvergence):
+            psi_fresnel(BoundaryKind.DIRICHLET, t, PolarPoint(1.0, 0.3), PlaneWave(*k), SPEC)
 
 
 @pytest.mark.parametrize("t", [math.nan, math.inf])

@@ -1,6 +1,7 @@
 """Tests for the infinite-order differential operator representation."""
 
 import math
+import sys
 import warnings
 
 import numpy as np
@@ -121,6 +122,15 @@ def test_non_finite_table_raises_nonconvergence():
         build_table(BoundaryKind.NEUMANN, 1e-4, PolarPoint(1.0, 0.3), 20)
 
 
+def test_non_finite_table_raises_without_runtime_warnings():
+    # the overflow is reported by the typed error alone: numpy warns about
+    # nothing on the way there
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NonConvergence):
+            build_table(BoundaryKind.NEUMANN, 1e-4, PolarPoint(1.0, 0.3), 20)
+
+
 def test_entries_iterate_in_graded_order(tables_n10):
     tab = tables_n10[BoundaryKind.NEUMANN]
     seen = list(tab.entries())
@@ -213,6 +223,28 @@ def test_log_majorant_terms_bitwise_equal_to_loop(m_max):
         assert got.tobytes() == _log_majorant_terms_loop(t, r, alpha, log_weight, m_max).tobytes()
 
 
+def test_majorant_memo_grows_consistently_under_threads(monkeypatch):
+    # threads of the field command share the memo: each must read entries
+    # bitwise equal to the loop, whichever thread grows the memo first
+    from concurrent.futures import ThreadPoolExecutor
+
+    import barrierwaves.operator as operator_module
+
+    monkeypatch.setattr(operator_module, "_log_S_memo", np.empty(0))
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        sizes = [5, 700, 64, 1023, 300, 1024, 9, 511] * 2
+        with ThreadPoolExecutor(max_workers=8) as pool:
+            futures = [pool.submit(_log_majorant_terms, 1.0, 0.9, ALPHA, 0.0, m) for m in sizes]
+            results = [f.result(timeout=60) for f in futures]
+    finally:
+        sys.setswitchinterval(interval)
+    for m, got in zip(sizes, results):
+        assert got.tobytes() == _log_majorant_terms_loop(1.0, 0.9, ALPHA, 0.0, m).tobytes()
+    assert operator_module._log_S_memo.size == 2048
+
+
 def test_truncation_order_zero_growth():
     assert truncation_order(1.0, 1.0, ALPHA, 0.0, 1e-5) == 0
 
@@ -302,6 +334,98 @@ def test_no_warning_when_tail_certified():
     with warnings.catch_warnings():
         warnings.simplefilter("error", TruncationInsufficient)
         apply_plane_wave(tab, (0.1, 0.1))
+
+
+# ----------------------------------------------------------------------------
+# Applying the operator to a batch of wavevectors
+# ----------------------------------------------------------------------------
+
+
+@pytest.fixture(scope="module")
+def table_n60():
+    return build_table(BoundaryKind.DIRICHLET, 1.0, X, 60)
+
+
+def _wavevectors(count, seed):
+    """Components in [-2, 2], so |k| <= 2 sqrt(2), with a few exact corners."""
+    rng = np.random.default_rng(seed)
+    ks = rng.uniform(-2.0, 2.0, (count, 2))
+    return np.concatenate([ks, [(2.0, 2.0), (-2.0, 2.0), (0.0, -2.0)]])
+
+
+def _fsum_reference(table, weights):
+    """math.fsum over every term c[n1, n2] * weights(n1, n2), parts separately.
+
+    Returns the sum and the sum of the terms' moduli.
+    """
+    terms = [complex(c) * weights(n1, n2) for n1, n2, c in table.entries()]
+    value = complex(math.fsum(z.real for z in terms), math.fsum(z.imag for z in terms))
+    return value, math.fsum(abs(z) for z in terms)
+
+
+def test_batched_apply_rows_equal_single_calls_bitwise(tables_n10, table_n60):
+    ks = np.concatenate([_wavevectors(9, 1), [(0.5 + 0.3j, 0.2), (0.0, 0.0)]])
+    for tab in (tables_n10[BoundaryKind.NEUMANN], table_n60):
+        batch = _quiet_apply(tab, ks)
+        assert batch.shape == (len(ks),)
+        singles = [_quiet_apply(tab, k) for k in ks]
+        assert all(type(v) is complex for v in singles)
+        assert np.array(singles).tobytes() == batch.tobytes()
+
+
+def test_batched_apply_of_empty_batch_is_empty(table_n60):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        out = apply_plane_wave(table_n60, np.empty((0, 2)))
+    assert out.shape == (0,)
+
+
+def test_batched_apply_at_zero_frequency_is_c00(tables_n10):
+    tab = tables_n10[BoundaryKind.DIRICHLET]
+    out = apply_plane_wave(tab, np.zeros((3, 2)))
+    assert (out == tab.c[0, 0]).all()
+
+
+@pytest.mark.parametrize("k", [(0.1,), (0.1, 0.2, 0.3), [[0.1, 0.2, 0.3]], [[[0.1, 0.2]]]])
+def test_apply_plane_wave_rejects_malformed_wavevectors(tables_n10, k):
+    with pytest.raises(ValueError):
+        apply_plane_wave(tables_n10[BoundaryKind.NEUMANN], k)
+
+
+@pytest.mark.parametrize("N", [10, 60])
+def test_apply_plane_wave_matches_fsum_of_terms(N):
+    for kind in BoundaryKind:
+        tab = build_table(kind, 1.0, X, N)
+        ks = _wavevectors(12, N)
+        got = _quiet_apply(tab, ks)
+        for k, value in zip(ks, got):
+            ik1, ik2 = 1j * complex(k[0]), 1j * complex(k[1])
+            ref, mag = _fsum_reference(tab, lambda n1, n2: ik1 ** n1 * ik2 ** n2)
+            assert abs(value - ref) <= 1e-13 * mag
+
+
+def test_batched_apply_warns_once_when_some_row_is_uncertified():
+    # N = 38 certifies tol 1e-5 for components up to 0.1 here
+    spec = QuadratureSpec(tol=1e-5)
+    tab = build_table(BoundaryKind.DIRICHLET, 1.0, X, 38, spec)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        apply_plane_wave(tab, [(0.1, 0.1), (0.05, -0.1), (0.0, 0.0)])
+        assert not caught
+        apply_plane_wave(tab, [(0.1, 0.1), (1.2, -0.7), (1.5, 0.2)])
+    assert [w.category for w in caught] == [TruncationInsufficient]
+
+
+def test_apply_taylor_matches_fsum_of_terms(table_n60):
+    rng = np.random.default_rng(7)
+    f = rng.normal(size=(8, 9)) + 1j * rng.normal(size=(8, 9))
+    ref, mag = _fsum_reference(
+        table_n60,
+        lambda n1, n2: (math.factorial(n1) * math.factorial(n2) * f[n1, n2]
+                        if n1 < 8 and n2 < 9 else 0.0))
+    got = apply_taylor(table_n60, TaylorField(f))
+    assert type(got) is complex
+    assert abs(got - ref) <= 1e-13 * mag
 
 
 def test_holomorphy_in_wavevector(tables_n10):

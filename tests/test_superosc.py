@@ -9,8 +9,14 @@ import pytest
 from barrierwaves.evolve import PlaneWave, QuadratureSpec, eval_datum, psi_fresnel
 from barrierwaves.geometry import PolarPoint
 from barrierwaves.greens import BoundaryKind
-from barrierwaves.operator import TruncationInsufficient
-from barrierwaves.summation import CompensatedSum
+from barrierwaves.evolve import TailBoundUnsatisfiable
+from barrierwaves.operator import (
+    N_CAP,
+    TruncationInsufficient,
+    apply_plane_wave,
+    build_table,
+    truncation_order,
+)
 from barrierwaves.superosc import (
     SQRT2,
     CoefficientOverflow,
@@ -42,11 +48,7 @@ def test_first_order_atoms():
 def test_coefficients_sum_to_one():
     for a in (1.5, 2.0, 3.0):
         for n in (1, 5, 20, 24):
-            c = superosc_coefficients(n, a)
-            acc = CompensatedSum()
-            for v in c:
-                acc.add(v)
-            assert abs(acc.value - 1.0) <= 1e-12
+            assert abs(math.fsum(superosc_coefficients(n, a)) - 1.0) <= 1e-12
 
 
 def test_frequency_moment_recovers_target():
@@ -238,3 +240,25 @@ def test_experiment_target_is_out_of_band_wave(neumann_rows):
     rows, _ = neumann_rows
     # every row shares the same evolved target
     assert rows[0].psi_target == rows[1].psi_target == rows[2].psi_target
+
+
+def test_experiment_matches_per_atom_fsum_reference():
+    spec = QuadratureSpec()
+    n_list = (4, 8, 12, 16)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", TruncationInsufficient)
+        rows = supershift_experiment(BoundaryKind.DIRICHLET, 1.0, X, n_list=n_list, spec=spec)
+        # the table the experiment builds: certified order, else the cap
+        try:
+            N = truncation_order(1.0, X.r, spec.alpha, math.hypot(2.0, 2.0), spec.tol)
+        except TailBoundUnsatisfiable:
+            N = N_CAP
+        table = build_table(BoundaryKind.DIRICHLET, 1.0, X, N, spec)
+        target = apply_plane_wave(table, (2.0, 2.0))
+        for row, n in zip(rows, n_list):
+            seq = superosc_sequence(SuperoscParams(2.0, 1, 1, n))
+            terms = [w * apply_plane_wave(table, (k1, k2))
+                     for w, (k1, k2) in zip(seq.weights, seq.wavevectors)]
+            ref = complex(math.fsum(z.real for z in terms), math.fsum(z.imag for z in terms))
+            assert abs(row.psi_n - ref) <= 1e-12 * max(1.0, abs(ref))
+            assert abs(row.psi_target - target) <= 1e-12 * max(1.0, abs(target))
