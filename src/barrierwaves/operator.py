@@ -314,14 +314,18 @@ def _require_finite_bounds(table: CoeffTable) -> None:
 def _graded_sum(order_terms, N: int, shape=()):
     """sum over m = 0..N of order_terms(m).sum(axis=-1), compensated across orders.
 
-    ``order_terms(m)`` holds the terms with n1 + n2 = m along its last axis;
-    each order is reduced by numpy's pairwise sum, and the N + 1 partial
-    sums, of the given shape, go through one ``CompensatedSum``.
+    ``order_terms(m)`` holds the terms with n1 + n2 = m along its last axis.
+    Each order is reduced in extended precision (``np.clongdouble``), so
+    its partial sum keeps the accuracy that compensating every term gave;
+    the N + 1 partial sums, of the given shape, go through one
+    ``CompensatedSum`` and are rounded to double once at the end.  Where
+    the platform's long double is plain double, each order carries the
+    rounding of numpy's pairwise sum instead.
     """
-    acc = CompensatedSum(np.zeros(shape, dtype=complex))
+    acc = CompensatedSum(np.zeros(shape, dtype=np.clongdouble))
     for m in range(N + 1):
-        acc.add(np.sum(order_terms(m), axis=-1))
-    return acc.value
+        acc.add(np.sum(order_terms(m), axis=-1, dtype=np.clongdouble))
+    return acc.value.astype(complex)
 
 
 def apply_taylor(table: CoeffTable, F: TaylorField) -> complex:
@@ -361,8 +365,9 @@ def apply_plane_wave(table: CoeffTable, k):
     for bit.  The mixed derivatives at 0 are (1j k1)^n1 (1j k2)^n2, so the
     result is the bivariate power series of the solution in k truncated at
     the table order; it is an entire function of both components.  The
-    terms of each order n1 + n2 = m are summed for all wavevectors at once,
-    and the N + 1 order sums are compensated.
+    terms of each order n1 + n2 = m are formed and summed for all
+    wavevectors at once, in extended precision, and the N + 1 order sums
+    are compensated.
 
     Emits one ``TruncationInsufficient`` warning per call when the certified
     tail at the largest component modulus in the batch exceeds the table's
