@@ -316,8 +316,8 @@ def _graded_sum(order_terms, N: int, shape=()):
 
     ``order_terms(m)`` holds the terms with n1 + n2 = m along its last axis.
     Each order is reduced in extended precision (``np.clongdouble``), so
-    its partial sum keeps the accuracy that compensating every term gave;
-    the N + 1 partial sums, of the given shape, go through one
+    its partial sum is about as accurate as a compensated sum of its
+    terms; the N + 1 partial sums, of the given shape, go through one
     ``CompensatedSum`` and are rounded to double once at the end.  Where
     the platform's long double is plain double, each order carries the
     rounding of numpy's pairwise sum instead.
