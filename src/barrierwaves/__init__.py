@@ -28,9 +28,7 @@ from .greens import (
     BoundaryKind,
     StencilCrossesBarrier,
     greens,
-    greens_reduced,
     greens_reduced_bound,
-    greens_rotated,
     schrodinger_residual,
 )
 from .evolve import (
@@ -100,9 +98,7 @@ __all__ = [
     "erfcx_by_quadrature",
     "eval_datum",
     "greens",
-    "greens_reduced",
     "greens_reduced_bound",
-    "greens_rotated",
     "growth_envelope",
     "in_domain",
     "log_continuity_constant",

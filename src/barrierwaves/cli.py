@@ -10,7 +10,10 @@ supershift  run the superoscillation persistence experiment
 greens      evaluate the propagator at one pair of points
 
 Configuration may come from ``--config FILE`` (lines of ``key = value``,
-``#`` comments) with command-line flags taking precedence.  Exit codes:
+``#`` comments) with command-line flags taking precedence.  A key is a
+flag name with ``_`` for ``-`` (``plane_wave = 0.5,0.5`` stands for
+``--plane-wave=0.5,0.5``) and its value goes through that flag's own
+checks; keys that only other subcommands take are ignored.  Exit codes:
 0 success, 1 runtime failure, 2 usage error.  Output files are written
 through a temporary sibling and renamed, so failed runs leave nothing
 behind.  Grid rows are processed in a thread pool; per-point arithmetic
@@ -21,6 +24,7 @@ byte-identical for any ``--threads`` value.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import math
 import os
 import sys
@@ -43,7 +47,7 @@ from .evolve import (
 from .operator import (
     N_CAP,
     TruncationInsufficient,
-    _require_finite_bounds,
+    _require_usable_table,
     apply_plane_wave,
     apply_taylor,
     build_table,
@@ -133,50 +137,24 @@ def _parse_nlist(text: str):
     return values
 
 
-def _parse_component(text: str) -> str:
-    if text not in ("re", "im", "abs"):
-        raise argparse.ArgumentTypeError(f"component must be re, im or abs, got {text!r}")
-    return text
+def _config_flags(path: str, parser: argparse.ArgumentParser, subparsers: dict, command: str) -> list:
+    """The lines ``key = value`` of a config file as ``--key-with-dashes=value``
+    flags of ``command``.
 
-
-#: config-file key -> (argparse dest, converter); one namespace for all commands
-_CONFIG_KEYS = {
-    "kind": ("kind", _parse_kind),
-    "t": ("t", float),
-    "x": ("x", _parse_polar),
-    "y": ("y", _parse_polar),
-    "grid": ("grid", _parse_grid),
-    "plane_wave": ("plane_wave", _parse_pair),
-    "taylor": ("taylor", _parse_taylor),
-    "method": ("method", str),
-    "out": ("out", str),
-    "pgm": ("pgm", str),
-    "component": ("component", _parse_component),
-    "gamma": ("gamma", float),
-    "threads": ("threads", int),
-    "alpha": ("alpha", float),
-    "n_rho": ("n_rho", int),
-    "n_theta": ("n_theta", int),
-    "tol": ("tol", float),
-    "panel_order": ("panel_order", int),
-    "rho_max": ("rho_max", float),
-    "order": ("order", int),
-    "a": ("a", float),
-    "p1": ("p1", int),
-    "p2": ("p2", int),
-    "n_list": ("n_list", _parse_nlist),
-    "radius": ("radius", float),
-    "samples": ("samples", int),
-}
-
-
-def _read_config_file(path: str, parser: argparse.ArgumentParser) -> dict:
+    Keys of flags that only other subcommands take are dropped, so one file
+    can serve every command; a key that no subcommand takes is a usage
+    error.  Values are left to the flags' own argparse checks.
+    """
     try:
         with open(path, "r", encoding="utf-8") as fh:
             lines = fh.readlines()
     except OSError as exc:
         parser.error(f"cannot read config file {path}: {exc}")
-    values = {}
+    # argparse keeps no public index of a parser's option strings
+    taken = subparsers[command]._option_string_actions
+    known = set().union(*(p._option_string_actions for p in subparsers.values()))
+    known -= {"--config", "--help"}
+    flags = []
     for lineno, raw in enumerate(lines, 1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -185,14 +163,12 @@ def _read_config_file(path: str, parser: argparse.ArgumentParser) -> dict:
             parser.error(f"{path}:{lineno}: expected key = value, got {raw.rstrip()!r}")
         key, _, text = line.partition("=")
         key = key.strip()
-        if key not in _CONFIG_KEYS:
+        flag = "--" + key.replace("_", "-")
+        if flag not in known:
             parser.error(f"{path}:{lineno}: unknown key {key!r}")
-        dest, convert = _CONFIG_KEYS[key]
-        try:
-            values[dest] = convert(text.strip())
-        except (argparse.ArgumentTypeError, ValueError) as exc:
-            parser.error(f"{path}:{lineno}: {exc}")
-    return values
+        if flag in taken:
+            flags.append(f"{flag}={text.strip()}")
+    return flags
 
 
 def _build_parser():
@@ -219,7 +195,7 @@ def _build_parser():
                             "level of the node ladder for field --method quadrature")
         p.add_argument("--tol", type=float, help="quadrature tail tolerance")
         p.add_argument("--panel-order", type=int, dest="panel_order")
-        p.add_argument("--rho-max", type=float, dest="rho_max",
+        p.add_argument("--rho-max", type=float, dest="fixed_rho_max", metavar="RHO_MAX",
                        help="fixed radial cutoff (default: automatic tail bound)")
 
     p = subparsers["validate"] = sub.add_parser("validate", help="run the invariant suites")
@@ -237,7 +213,7 @@ def _build_parser():
     p.add_argument("--method", choices=("quadrature", "operator"), default="quadrature")
     p.add_argument("--out", help="CSV output path")
     p.add_argument("--pgm", help="PGM heatmap output path")
-    p.add_argument("--component", type=_parse_component, default="abs")
+    p.add_argument("--component", choices=("re", "im", "abs"), default="abs")
     p.add_argument("--gamma", type=float, default=1.0)
     p.add_argument("--threads", type=int, default=1)
     add_quadrature_flags(p)
@@ -274,6 +250,8 @@ def _build_parser():
     p.add_argument("--x", type=_parse_polar)
     p.add_argument("--y", type=_parse_polar)
     p.add_argument("--out", help="optional CSV output path")
+    for p in subparsers.values():
+        p.set_defaults(usage_error=p.error)
     return parser, subparsers
 
 
@@ -301,39 +279,50 @@ def parse_config(argv, file=None) -> argparse.Namespace:
     """Parse flags plus optional ``--config`` file; flags win over file values.
 
     ``file`` supplies a configuration path when no ``--config`` flag is
-    present.  Config values are installed as defaults on the selected
-    subcommand's parser, so anything given explicitly on the command line
-    keeps precedence over the file.
+    present.  The file's lines are parsed as the selected subcommand's own
+    flags and installed as that parser's defaults, and the command line is
+    parsed again, so anything given explicitly keeps precedence over the
+    file.  ``usage_error`` on the result reports a usage error against the
+    selected subcommand.
     """
     argv = _merge_dash_values(list(argv))
     parser, subparsers = _build_parser()
-    probe, _ = parser.parse_known_args(argv)
-    cfg_file = getattr(probe, "config", None) or file
-    if cfg_file:
-        values = _read_config_file(cfg_file, parser)
-        parser.set_defaults(**values)
-        if probe.command in subparsers:
-            subparsers[probe.command].set_defaults(**values)
     cfg = parser.parse_args(argv)
     if cfg.command is None:
         parser.error("a command is required (validate, field, coeffs, supershift, greens)")
-    if cfg.command != "validate" and getattr(cfg, "t", None) is None:
-        parser.error(f"{cfg.command}: --t is required")
+    cfg_file = cfg.config or file
+    if cfg_file:
+        sub = subparsers[cfg.command]
+        values = sub.parse_args(_config_flags(cfg_file, parser, subparsers, cfg.command))
+        sub.set_defaults(**vars(values))
+        cfg = parser.parse_args(argv)
+    if cfg.command != "validate" and cfg.t is None:
+        cfg.usage_error("--t is required")
     return cfg
 
 
-#: argparse dest -> QuadratureSpec field
-_SPEC_FIELDS = {"alpha": "alpha", "n_rho": "n_rho", "n_theta": "n_theta", "tol": "tol",
-                "panel_order": "panel_order", "rho_max": "fixed_rho_max"}
-
-
 def _spec_from_cfg(cfg, parser_error) -> QuadratureSpec:
-    kwargs = {field: getattr(cfg, dest) for dest, field in _SPEC_FIELDS.items()
-              if getattr(cfg, dest, None) is not None}
+    kwargs = {f.name: getattr(cfg, f.name) for f in dataclasses.fields(QuadratureSpec)
+              if getattr(cfg, f.name) is not None}
     try:
         return QuadratureSpec(**kwargs)
     except ValueError as exc:
         parser_error(str(exc))
+
+
+def _write_atomic(path, data: bytes) -> None:
+    """Write ``data`` through a temporary sibling renamed over ``path``, so a
+    failed write leaves nothing behind."""
+    path = os.fspath(path)
+    tmp = path + ".tmp"
+    try:
+        with open(tmp, "wb") as fh:
+            fh.write(data)
+        os.replace(tmp, path)
+    except BaseException:
+        if os.path.exists(tmp):
+            os.unlink(tmp)
+        raise
 
 
 def write_csv(header, rows, path) -> None:
@@ -354,16 +343,7 @@ def write_csv(header, rows, path) -> None:
             else:
                 cells.append(_fmt_real(item))
         parts.append(",".join(cells) + "\n")
-    path = os.fspath(path)
-    tmp = path + ".tmp"
-    try:
-        with open(tmp, "w", encoding="ascii", newline="") as fh:
-            fh.write("".join(parts))
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
+    _write_atomic(path, "".join(parts).encode("ascii"))
 
 
 def write_pgm(values, path, component="abs", gamma=1.0) -> None:
@@ -388,17 +368,7 @@ def write_pgm(values, path, component="abs", gamma=1.0) -> None:
     frac = np.where(mask, 0.0, frac)
     pixels = np.rint(65535.0 * np.clip(frac, 0.0, 1.0) ** gamma).astype(">u2")
     header = f"P5\n{values.shape[1]} {values.shape[0]}\n65535\n".encode("ascii")
-    path = os.fspath(path)
-    tmp = path + ".tmp"
-    try:
-        with open(tmp, "wb") as fh:
-            fh.write(header)
-            fh.write(pixels.tobytes())
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
+    _write_atomic(path, header + pixels.tobytes())
 
 
 def _datum_from_cfg(cfg, parser_error):
@@ -420,7 +390,7 @@ def _operator_value(kind, t, pol, F, spec):
         N = N_CAP
     N = min(max(N, degree), N_CAP)
     table = build_table(kind, t, pol, N, spec)
-    _require_finite_bounds(table)
+    _require_usable_table(table)
     if isinstance(F, PlaneWave):
         return apply_plane_wave(table, (F.k1, F.k2))
     return apply_taylor(table, F)
@@ -494,7 +464,7 @@ def run_coeffs(cfg, parser_error) -> int:
     spec = _spec_from_cfg(cfg, parser_error)
     try:
         table = build_table(cfg.kind, cfg.t, cfg.x, cfg.order, spec)
-        _require_finite_bounds(table)
+        _require_usable_table(table)
     except (ArithmeticError, ValueError) as exc:
         print(f"coefficient table failed: {exc}", file=sys.stderr)
         return 1
@@ -563,12 +533,8 @@ def run_validate(cfg) -> int:
 
 
 def main(argv=None) -> int:
-    parser_holder, _ = _build_parser()
     cfg = parse_config(sys.argv[1:] if argv is None else argv)
-
-    def parser_error(message):
-        parser_holder.error(f"{cfg.command}: {message}" if cfg.command else message)
-
+    parser_error = cfg.usage_error
     try:
         if cfg.command == "validate":
             return run_validate(cfg)

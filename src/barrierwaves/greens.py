@@ -107,7 +107,7 @@ def _stable_scaled_erfcx(P, w):
     return out
 
 
-def _kernel_grid(t: float, x: PolarPoint, z, theta, reduced=False):
+def _kernel_grid(t: float, x: PolarPoint, z, theta):
     """Direct and image halves of the propagator on the grid of ``z`` and ``theta``.
 
     Returns ``pref * exp(P) * (L(w1), L(-w1))`` stacked on a leading axis
@@ -118,9 +118,9 @@ def _kernel_grid(t: float, x: PolarPoint, z, theta, reduced=False):
     ``theta`` with the datum at the mirror point (-z cos theta, z sin theta).
 
     ``z`` may be real (physical points) or complex with Re(z) > 0 (rotated
-    radius).  With ``reduced=True`` the factor exp(i z^2/(4t)) is dropped;
-    the full kernel is ``exp(0.25j*z*z/t) * reduced``.
-    Shapes broadcast: the result has shape
+    radius); the map is holomorphic in z there, and along the ray
+    z = rho*exp(1j*alpha) its modulus decays like
+    exp(-rho^2 sin(2 alpha)/(4 t)).  Shapes broadcast: the result has shape
     ``(2,) + np.broadcast(z, theta).shape``.
     """
     _check_time(t)
@@ -131,62 +131,33 @@ def _kernel_grid(t: float, x: PolarPoint, z, theta, reduced=False):
     sqrt_rz = np.sqrt(r * z)
     inv_sqrt_it = np.exp(-1j * _QUARTER_PI) / math.sqrt(t)
     w1 = sqrt_rz * (np.cos(0.5 * (phi - theta)) * inv_sqrt_it)
-    # -(...)/(4it) = +0.25j*(...)/t
-    if reduced:
-        P = 0.25j * (r * r + 2.0 * r * z) / t
-    else:
-        P = 0.25j * (r + z) * (r + z) / t
+    # -(r+z)^2/(4it) = +0.25j*(r+z)^2/t
+    P = 0.25j * (r + z) * (r + z) / t
     pair = _stable_scaled_erfcx(P, w1)
     pair *= 1.0 / (8j * math.pi * t)
     return pair
 
 
-def _pointwise(kind: BoundaryKind, t: float, x: PolarPoint, z, theta: float, reduced: bool) -> complex:
-    """Propagator at one source point from the direct half at ``theta`` and
-    the image half at ``pi - theta``."""
-    direct = _kernel_grid(t, x, z, theta, reduced)[0]
-    image = _kernel_grid(t, x, z, math.pi - theta, reduced)[1]
-    return complex(direct + _SIGNS[kind] * image)
-
-
 def greens(kind: BoundaryKind, t: float, x: PolarPoint, y: PolarPoint) -> complex:
     """Propagator G(t, x, y) for physical (real) source and observation points.
 
-    Symmetric in x <-> y; vanishes for x on the barrier faces in the
-    Dirichlet case.  ``x`` and ``y`` may carry the closed barrier angles
-    -pi/2 and 3*pi/2 so boundary behaviour can be probed directly.
+    The direct half at the source angle and the image half at its mirror
+    angle pi - theta come from one ``_kernel_grid`` call.  Symmetric in
+    x <-> y; vanishes for x on the barrier faces in the Dirichlet case.
+    ``x`` and ``y`` may carry the closed barrier angles -pi/2 and 3*pi/2 so
+    boundary behaviour can be probed directly.
     """
-    return _pointwise(kind, t, x, y.r, y.phi, reduced=False)
-
-
-def greens_rotated(kind: BoundaryKind, t: float, x: PolarPoint, z: complex, theta: float) -> complex:
-    """Propagator with the source radius continued to complex z, Re(z) > 0.
-
-    The map z -> greens_rotated(..., z, theta) is holomorphic on the right
-    half-plane; along the rotated ray z = rho*exp(1j*alpha) its modulus
-    decays like exp(-rho^2 sin(2 alpha)/(4 t)).
-    """
-    z = complex(z)
-    if not z.real > 0:
-        raise ValueError(f"greens_rotated requires Re(z) > 0, got z={z}")
-    return _pointwise(kind, t, x, z, theta, reduced=False)
-
-
-def greens_reduced(kind: BoundaryKind, t: float, x: PolarPoint, z: complex, theta: float) -> complex:
-    """Rotated propagator with the Gaussian factor exp(i z^2/(4t)) removed.
-
-    The remainder is bounded by ``greens_reduced_bound``; splitting the
-    kernel this way is what justifies the radial truncation of every
-    quadrature, so the factorization is exposed for testing.
-    """
-    z = complex(z)
-    if not z.real > 0:
-        raise ValueError(f"greens_reduced requires Re(z) > 0, got z={z}")
-    return _pointwise(kind, t, x, z, theta, reduced=True)
+    G = _kernel_grid(t, x, y.r, (y.phi, math.pi - y.phi))
+    return complex(G[0, 0] + _SIGNS[kind] * G[1, 1])
 
 
 def greens_reduced_bound(t: float, r: float, zabs: float) -> float:
-    """Envelope (1/(2 pi t)) * exp(3 r |z| / (2 t)) of the reduced kernel."""
+    """Envelope (1/(2 pi t)) * exp(3 r |z| / (2 t)) of the reduced kernel.
+
+    The reduced kernel is the propagator at a rotated radius z with its
+    Gaussian factor exp(i z^2/(4t)) divided out; this envelope times that
+    factor's modulus is the integrand majorant behind ``evolve.rho_max``.
+    """
     _check_time(t)
     return math.exp(1.5 * r * zabs / t) / (2.0 * math.pi * t)
 

@@ -152,7 +152,10 @@ def truncation_order(t: float, r: float, alpha: float, B: float, tol: float) -> 
     The tail sums ``coeff_bound(n1,n2) * (e*B)^(n1+n2)`` over n1+n2 > N;
     this is the derivative-bound-weighted majorant of everything the
     operator discards.  The majorant is summed in log space until its
-    terms have decayed far past their peak.
+    terms have decayed far past their peak.  Every tail with N <= 60
+    holds the term of order 61, and a log-sum-exp is never below its
+    largest term, so an order-61 term at or above tol rejects the cap from
+    the first 62 terms alone.
 
     Raises
     ------
@@ -171,11 +174,14 @@ def truncation_order(t: float, r: float, alpha: float, B: float, tol: float) -> 
         return 0
     x = 4.0 * math.e * B * math.sqrt(t / math.sin(2.0 * alpha))
     m_max = int(4.0 * x * x + 40.0 * x + 200)
-    log_terms = _log_majorant_terms(t, r, alpha, math.log(math.e * B), m_max)
+    log_weight = math.log(math.e * B)
     log_tol = math.log(tol)
-    for n in range(N_CAP + 1):
-        if _log_tail(log_terms, n) < log_tol:
-            return n
+    # the memo makes these entries bitwise equal to those of the long array
+    if _log_majorant_terms(t, r, alpha, log_weight, N_CAP + 1)[-1] < log_tol:
+        log_terms = _log_majorant_terms(t, r, alpha, log_weight, m_max)
+        for n in range(N_CAP + 1):
+            if _log_tail(log_terms, n) < log_tol:
+                return n
     raise TailBoundUnsatisfiable(
         f"certified truncation order exceeds the cap {N_CAP} "
         f"(B={B}, t={t}, alpha={alpha}, tol={tol})"
@@ -298,17 +304,24 @@ def build_table(kind: BoundaryKind, t: float, x: PolarPoint, N: int,
                       tail_bound=tail_bound, est_error=est_error, spec=spec)
 
 
-def _require_finite_bounds(table: CoeffTable) -> None:
-    """Raise ``NonConvergence`` when a coefficient bound is beyond double range.
+def _require_usable_table(table: CoeffTable) -> None:
+    """Raise ``NonConvergence`` unless the table's entries can be used.
 
-    ``build_table`` returns such a table with finite entries and an honest,
-    huge ``est_error``; callers that use the entries reject it here.  For
-    small t this is where exp(9 r^2 / (2 t sin 2alpha)) leaves double range.
+    ``build_table`` returns finite entries with an honest ``est_error``;
+    callers that use the entries reject the table here when a coefficient
+    bound is beyond double range (for small t this is where
+    exp(9 r^2 / (2 t sin 2alpha)) leaves double range), or when
+    ``est_error`` exceeds ten times the quadrature tolerance.
     """
     if np.isinf(table.bound).any():
         raise NonConvergence(
             f"coefficient bounds at t={table.t}, r={table.x.r}, N={table.N} "
             f"exceed double range (refinement estimate {table.est_error:.3e})")
+    limit = 10.0 * table.spec.tol
+    if not table.est_error <= limit:
+        raise NonConvergence(
+            f"coefficient table at t={table.t}, r={table.x.r}, N={table.N} "
+            f"has refinement estimate {table.est_error:.3e} above {limit:.1e}")
 
 
 def _graded_sum(order_terms, N: int, shape=()):

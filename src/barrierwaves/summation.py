@@ -7,11 +7,19 @@ of wavevectors the accumulator holds one array of partial sums.  ``supershift_ex
 adds the n + 1 weighted atoms of each F_n through it, which is where the
 alternating weights cancel.  The accumulator tracks a running correction
 term and loses no accuracy when a new term is larger than the current sum.
+Complex sums are compensated part by part, as two real sums.
 """
 
 from __future__ import annotations
 
 import numpy as np
+
+
+def _rounding_error(a, b, s):
+    """The rounding error (a + b) - s of the real sum s = fl(a + b)."""
+    # branch-free two-term recovery: subtract the sum from the larger term
+    keep = abs(np.asarray(a)) >= abs(np.asarray(b))
+    return (np.where(keep, a, b) - s) + np.where(keep, b, a)
 
 
 class CompensatedSum:
@@ -25,11 +33,13 @@ class CompensatedSum:
 
     def add(self, term):
         s = self._sum + term
-        # branch-free two-term recovery of the rounding error of s
-        keep = abs(np.asarray(self._sum)) >= abs(np.asarray(term))
-        big = np.where(keep, self._sum, term)
-        small = np.where(keep, term, self._sum)
-        self._comp = self._comp + ((big - s) + small)
+        if np.iscomplexobj(s):
+            # the larger term differs between the parts, so each part gets its own
+            err = (_rounding_error(np.real(self._sum), np.real(term), np.real(s))
+                   + 1j * _rounding_error(np.imag(self._sum), np.imag(term), np.imag(s)))
+        else:
+            err = _rounding_error(self._sum, term, s)
+        self._comp = self._comp + err
         self._sum = s
 
     @property

@@ -28,7 +28,7 @@ from .evolve import DiscreteSuperposition, QuadratureSpec, eval_datum
 from .operator import (
     N_CAP,
     TruncationInsufficient,
-    _require_finite_bounds,
+    _require_usable_table,
     apply_plane_wave,
     build_table,
     log_continuity_constant,
@@ -212,8 +212,9 @@ def supershift_experiment(kind: BoundaryKind, t: float, x: PolarPoint,
     Raises
     ------
     NonConvergence
-        If the table is not finite or its coefficient bounds exceed double
-        range (small t against r^2).
+        If the table is not finite, its coefficient bounds exceed double
+        range (small t against r^2), or its refinement estimate exceeds
+        ten times ``spec.tol``.
     """
     params0 = SuperoscParams(a=a, p1=p1, p2=p2, n=max(n_list))
     a_norm = math.hypot(*params0.a_vec)
@@ -228,7 +229,7 @@ def supershift_experiment(kind: BoundaryKind, t: float, x: PolarPoint,
             f"relying on empirical coefficient decay",
             TruncationInsufficient, stacklevel=2)
     table = build_table(kind, t, x, N, spec)
-    _require_finite_bounds(table)
+    _require_usable_table(table)
     log_c = log_continuity_constant(t, x.r, spec.alpha, growth)
     log_dbl_max = math.log(np.finfo(float).max)
     family = [SuperoscParams(a=a, p1=p1, p2=p2, n=n) for n in sorted(n_list)]

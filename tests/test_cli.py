@@ -106,6 +106,28 @@ def test_malformed_config_line_is_usage_error(tmp_path):
     assert exc.value.code == 2
 
 
+@pytest.mark.parametrize("line", ["method = oprator", "component = bogus", "threads = two"])
+def test_bad_config_value_fails_the_flags_own_check(tmp_path, line):
+    conf = tmp_path / "run.conf"
+    conf.write_text(f"t = 1.0\nplane_wave = 0.5,0.5\n{line}\n")
+    with pytest.raises(SystemExit) as exc:
+        main(["field", "--config", str(conf), "--x", "1,1.1", "--out", str(tmp_path / "o.csv")])
+    assert exc.value.code == 2
+    assert not (tmp_path / "o.csv").exists()
+
+
+def test_config_key_of_another_command_is_ignored(tmp_path):
+    # one file serves every command: order belongs to coeffs, n_list to supershift
+    conf = tmp_path / "run.conf"
+    conf.write_text("t = 1.0\nplane_wave = 0.5,0.5\norder = 5\nn_list = 2,4\nrho_max = 9\n")
+    out = tmp_path / "o.csv"
+    assert main(["--config", str(conf), "field", "--x", "1,1.1", "--out", str(out)]) == 0
+    cfg = parse_config(["--config", str(conf), "field", "--x", "1,1.1", "--out", str(out)])
+    assert not hasattr(cfg, "order") and not hasattr(cfg, "n_list")
+    assert cfg.fixed_rho_max == 9.0
+    assert len(_read_csv(out)[1]) == 1
+
+
 def test_field_requires_exactly_one_location(tmp_path):
     with pytest.raises(SystemExit):
         main(["field", "--t", "1", "--plane-wave", "0,0",
@@ -310,6 +332,17 @@ def test_table_with_unbounded_coefficients_fails_cleanly(tmp_path, capsys, argv)
         rc = main(argv + ["--t", "1e-3", "--x", "1,0.3", "--out", str(out)])
     assert rc == 1
     assert "exceed double range" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_table_with_inaccurate_entries_fails_cleanly(tmp_path, capsys):
+    # at t = 0.01 the table's refinement estimate is far above its tolerance
+    out = tmp_path / "o.csv"
+    with np.errstate(all="ignore"):
+        rc = main(["field", "--method", "operator", "--t", "0.01", "--x=1,0.3",
+                   "--plane-wave", "0.4,-0.3", "--out", str(out)])
+    assert rc == 1
+    assert "refinement estimate" in capsys.readouterr().err
     assert not out.exists()
 
 

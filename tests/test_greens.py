@@ -1,4 +1,8 @@
-"""Tests for the half-line-barrier propagator and its rotated forms."""
+"""Tests for the half-line-barrier propagator and its rotated forms.
+
+The rotated forms are read off the grid kernel: its direct half at the
+source angle plus the signed image half at the mirror angle.
+"""
 
 import cmath
 import math
@@ -13,9 +17,7 @@ from barrierwaves.greens import (
     StencilCrossesBarrier,
     _kernel_grid,
     greens,
-    greens_reduced,
     greens_reduced_bound,
-    greens_rotated,
     schrodinger_residual,
 )
 from barrierwaves.operator import coeff_bound, log_continuity_constant
@@ -25,17 +27,25 @@ X = PolarPoint(1.0, 0.3)
 Y = PolarPoint(2.0, 1.1)
 
 
-def _mirror_kernel(kind, t, x, z, theta, reduced=False):
+def _rotated(kind, t, x, z, theta):
+    """Propagator at source radius z (real or Re z > 0) from the grid kernel."""
+    G = _kernel_grid(t, x, z, (theta, math.pi - theta))
+    return complex(G[0, 0] + kind.sign * G[1, 1])
+
+
+def _reduced(kind, t, x, z, theta):
+    """Rotated propagator with its Gaussian factor exp(i z^2/(4t)) divided out."""
+    return cmath.exp(-0.25j * z * z / t) * _rotated(kind, t, x, z, theta)
+
+
+def _mirror_kernel(kind, t, x, z, theta):
     """Same formula as the library kernel, assembled independently here."""
     r, phi = x.r, x.phi
     sqrt_rz = cmath.sqrt(r * z)
     inv_sqrt_it = cmath.exp(-0.25j * math.pi) / math.sqrt(t)
     w1 = sqrt_rz * math.cos(0.5 * (phi - theta)) * inv_sqrt_it
     w2 = -sqrt_rz * math.sin(0.5 * (phi + theta)) * inv_sqrt_it
-    if reduced:
-        P = 0.25j * (r * r + 2.0 * r * z) / t
-    else:
-        P = 0.25j * (r + z) * (r + z) / t
+    P = 0.25j * (r + z) * (r + z) / t
     pref = cmath.exp(P) / (8j * math.pi * t)
     sign = -1.0 if kind is BoundaryKind.DIRICHLET else 1.0
     return pref * (erfcx(w1) + sign * erfcx(w2))
@@ -122,13 +132,11 @@ def test_nonpositive_time_rejected():
 @pytest.mark.parametrize("t", [math.nan, math.inf])
 @pytest.mark.parametrize("call", [
     lambda t: greens(BoundaryKind.DIRICHLET, t, X, Y),
-    lambda t: greens_rotated(BoundaryKind.NEUMANN, t, X, 1.0 + 0.5j, 0.4),
-    lambda t: greens_reduced(BoundaryKind.DIRICHLET, t, X, 1.0 + 0.5j, 0.4),
     lambda t: _kernel_grid(t, X, np.array([1.0 + 0.5j]), np.array([0.4])),
     lambda t: greens_reduced_bound(t, 1.0, 2.0),
     lambda t: coeff_bound(t, 1.0, math.pi / 4, 2, 3),
     lambda t: log_continuity_constant(t, 1.0, math.pi / 4, 0.5),
-], ids=["greens", "greens_rotated", "greens_reduced", "kernel_grid",
+], ids=["greens", "kernel_grid",
         "greens_reduced_bound", "coeff_bound", "log_continuity_constant"])
 def test_non_finite_time_rejected(call, t):
     with pytest.raises(ValueError):
@@ -143,39 +151,17 @@ def test_non_finite_time_rejected(call, t):
 def test_rotated_matches_physical_on_real_axis():
     rho = 1.3
     for kind in BoundaryKind:
-        a = greens_rotated(kind, T, X, rho, 1.1)
+        a = _rotated(kind, T, X, rho, 1.1)
         b = greens(kind, T, X, PolarPoint(rho, 1.1))
         assert a == b
-
-
-def test_rotated_rejects_closed_left_half_plane():
-    for z in (-1.0, 0.0, -0.5 + 2j, 1j):
-        with pytest.raises(ValueError):
-            greens_rotated(BoundaryKind.DIRICHLET, T, X, z, 0.5)
 
 
 def test_rotated_matches_independent_assembly():
     z = 1.4 * cmath.exp(0.4j)
     for kind in BoundaryKind:
-        got = greens_rotated(kind, T, X, z, 0.8)
+        got = _rotated(kind, T, X, z, 0.8)
         ref = _mirror_kernel(kind, T, X, z, 0.8)
         assert abs(got - ref) <= 1e-12 * abs(ref)
-
-
-def test_decomposition_into_gaussian_and_reduced():
-    z = 2.0 * cmath.exp(0.25j * math.pi)
-    for kind in BoundaryKind:
-        full = greens_rotated(kind, T, X, z, 0.8)
-        reduced = greens_reduced(kind, T, X, z, 0.8)
-        assert abs(full - cmath.exp(0.25j * z * z / T) * reduced) <= 1e-13 * abs(full)
-
-
-def test_rotated_over_reduced_is_gaussian_factor():
-    z = 1.1 + 0.6j
-    ratio = greens_rotated(BoundaryKind.NEUMANN, T, X, z, 0.2) / greens_reduced(
-        BoundaryKind.NEUMANN, T, X, z, 0.2
-    )
-    assert ratio == pytest.approx(cmath.exp(0.25j * z * z / T), rel=1e-12)
 
 
 def test_holomorphy_cauchy_riemann():
@@ -183,12 +169,12 @@ def test_holomorphy_cauchy_riemann():
     h = 1e-5
     for kind in BoundaryKind:
         d_re = (
-            greens_rotated(kind, 1.0, X, z0 + h, 0.4)
-            - greens_rotated(kind, 1.0, X, z0 - h, 0.4)
+            _rotated(kind, 1.0, X, z0 + h, 0.4)
+            - _rotated(kind, 1.0, X, z0 - h, 0.4)
         ) / (2 * h)
         d_im = (
-            greens_rotated(kind, 1.0, X, z0 + 1j * h, 0.4)
-            - greens_rotated(kind, 1.0, X, z0 - 1j * h, 0.4)
+            _rotated(kind, 1.0, X, z0 + 1j * h, 0.4)
+            - _rotated(kind, 1.0, X, z0 - 1j * h, 0.4)
         ) / (2j * h)
         assert abs(d_re - d_im) <= 1e-6 * max(1.0, abs(d_re))
 
@@ -215,7 +201,7 @@ def test_reduced_bound_dominates_random_sector_points():
         theta = rng.uniform(-0.5 * math.pi, 1.5 * math.pi)
         z = rho * cmath.exp(1j * alpha)
         for kind in BoundaryKind:
-            val = abs(greens_reduced(kind, t, x, z, theta))
+            val = abs(_reduced(kind, t, x, z, theta))
             assert val <= greens_reduced_bound(t, x.r, abs(z)) * (1 + 1e-12)
 
 
@@ -224,7 +210,7 @@ def test_reduced_bound_dominates_alpha_sweep():
     for alpha in (0.3, math.pi / 4, 1.2):
         for rho in np.linspace(0.05, 6.0, 40):
             z = rho * cmath.exp(1j * alpha)
-            val = abs(greens_reduced(BoundaryKind.DIRICHLET, 1.0, x, z, 0.4))
+            val = abs(_reduced(BoundaryKind.DIRICHLET, 1.0, x, z, 0.4))
             assert val <= greens_reduced_bound(1.0, x.r, rho) * (1 + 1e-12)
 
 
@@ -235,9 +221,9 @@ def test_kind_swap_exposes_reflected_term():
     sqrt_rz = cmath.sqrt(r * z)
     inv_sqrt_it = cmath.exp(-0.25j * math.pi) / math.sqrt(T)
     w2 = -sqrt_rz * math.sin(0.5 * (phi + theta)) * inv_sqrt_it
-    P = 0.25j * (r * r + 2.0 * r * z) / T
+    P = 0.25j * (r + z) * (r + z) / T
     expected = 2.0 * cmath.exp(P) * erfcx(w2) / (8j * math.pi * T)
-    diff = greens_reduced(BoundaryKind.NEUMANN, T, X, z, theta) - greens_reduced(
+    diff = _rotated(BoundaryKind.NEUMANN, T, X, z, theta) - _rotated(
         BoundaryKind.DIRICHLET, T, X, z, theta
     )
     assert abs(diff - expected) <= 1e-12 * abs(expected)

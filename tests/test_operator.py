@@ -264,6 +264,35 @@ def test_truncation_order_unsatisfiable():
         truncation_order(1.0, 1.0, ALPHA, 1.0, 1e-5)
 
 
+def _truncation_order_full_scan(t, r, alpha, B, tol):
+    """The scan of every tail up to the cap, without the early rejection."""
+    x = 4.0 * math.e * B * math.sqrt(t / math.sin(2.0 * alpha))
+    m_max = int(4.0 * x * x + 40.0 * x + 200)
+    log_terms = _log_majorant_terms(t, r, alpha, math.log(math.e * B), m_max)
+    for n in range(N_CAP + 1):
+        tail = log_terms[n + 1:]
+        peak = float(tail.max())
+        if peak + math.log(np.sum(np.exp(tail - peak))) < math.log(tol):
+            return n
+    return None
+
+
+def test_truncation_order_early_rejection_matches_full_scan():
+    outcomes = set()
+    for t in (0.05, 0.3, 1.0, 2.5):
+        for r in (0.0, 0.9, 3.0):
+            for B in (0.05, 0.2, 0.5, 1.5):
+                for tol in (1e-3, 1e-7, 1e-12):
+                    want = _truncation_order_full_scan(t, r, ALPHA, B, tol)
+                    try:
+                        got = truncation_order(t, r, ALPHA, B, tol)
+                    except TailBoundUnsatisfiable:
+                        got = None
+                    assert got == want, (t, r, B, tol)
+                    outcomes.add(got is None)
+    assert outcomes == {True, False}
+
+
 # ----------------------------------------------------------------------------
 # Applying the operator
 # ----------------------------------------------------------------------------

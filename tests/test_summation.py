@@ -39,6 +39,22 @@ def test_complex_accumulator_tracks_parts_independently():
     assert acc.value == 1.0 + 0j
 
 
+def test_complex_parts_are_compensated_separately():
+    # the real part loses the 1 while the imaginary part dominates the modulus
+    acc = CompensatedSum()
+    for term in (1e16, 1.0 + 1e17j, -1e16 - 1e17j):
+        acc.add(term)
+    assert acc.value == 1.0 + 0j
+
+
+def test_extended_precision_accumulator_keeps_its_dtype():
+    acc = CompensatedSum(np.zeros(3, dtype=np.clongdouble))
+    acc.add(np.full(3, 1.0 + 2.0j, dtype=np.clongdouble))
+    acc.add(np.clongdouble(-0.5j))
+    assert acc.value.dtype == np.clongdouble
+    assert np.all(acc.value == np.clongdouble(1.0 + 1.5j))
+
+
 def test_empty_sum_is_zero():
     assert _compensated([]) == 0.0
     assert CompensatedSum().value == 0.0
