@@ -138,8 +138,8 @@ def _parse_nlist(text: str):
 
 
 def _config_flags(path: str, parser: argparse.ArgumentParser, subparsers: dict, command: str) -> list:
-    """The lines ``key = value`` of a config file as ``--key-with-dashes=value``
-    flags of ``command``.
+    """The lines ``key = value`` of a config file as (line number,
+    ``--key-with-dashes=value``) pairs, flags of ``command``.
 
     Keys of flags that only other subcommands take are dropped, so one file
     can serve every command; a key that no subcommand takes is a usage
@@ -167,7 +167,7 @@ def _config_flags(path: str, parser: argparse.ArgumentParser, subparsers: dict, 
         if flag not in known:
             parser.error(f"{path}:{lineno}: unknown key {key!r}")
         if flag in taken:
-            flags.append(f"{flag}={text.strip()}")
+            flags.append((lineno, f"{flag}={text.strip()}"))
     return flags
 
 
@@ -280,9 +280,10 @@ def parse_config(argv, file=None) -> argparse.Namespace:
 
     ``file`` supplies a configuration path when no ``--config`` flag is
     present.  The file's lines are parsed as the selected subcommand's own
-    flags and installed as that parser's defaults, and the command line is
-    parsed again, so anything given explicitly keeps precedence over the
-    file.  ``usage_error`` on the result reports a usage error against the
+    flags (a bad value is a usage error naming ``path:line``) and installed
+    as that parser's defaults, and the command line is parsed again, so
+    anything given explicitly keeps precedence over the file.
+    ``usage_error`` on the result reports a usage error against the
     selected subcommand.
     """
     argv = _merge_dash_values(list(argv))
@@ -293,7 +294,16 @@ def parse_config(argv, file=None) -> argparse.Namespace:
     cfg_file = cfg.config or file
     if cfg_file:
         sub = subparsers[cfg.command]
-        values = sub.parse_args(_config_flags(cfg_file, parser, subparsers, cfg.command))
+        values = argparse.Namespace()
+        # one line at a time, a bad value raising instead of exiting, so that
+        # its message can name the file and line
+        sub.exit_on_error = False
+        for lineno, flag in _config_flags(cfg_file, parser, subparsers, cfg.command):
+            try:
+                sub.parse_args([flag], namespace=values)
+            except argparse.ArgumentError as exc:
+                sub.error(f"{cfg_file}:{lineno}: {exc}")
+        sub.exit_on_error = True
         sub.set_defaults(**vars(values))
         cfg = parser.parse_args(argv)
     if cfg.command != "validate" and cfg.t is None:

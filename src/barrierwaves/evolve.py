@@ -22,6 +22,11 @@ z = rho*exp(1j*alpha) and (D, I) the kernel pair of ``greens._kernel_grid``
 which needs one ``wofz`` value per node.  Negating z1 is exact, so the
 mirrored datum does not rely on the nodes being symmetric under th -> pi - th.
 
+The radial integral is cut off at the R of ``rho_max``, taken from the
+envelope of the pair on the ray (``greens.greens_reduced_bound``):
+
+    |D(z, th)| + |I(z, th)| <= (1/(2 pi t)) * exp(r rho/(2t) - rho^2 sin(2 alpha)/(4t))
+
 The datum F must extend to an entire function of (z1, z2) with an
 exponential growth envelope |F(z)| <= A * exp(B |z|); plane waves, finite
 Taylor data and finite superpositions of plane waves are provided.
@@ -50,7 +55,7 @@ import numpy as np
 from numpy.polynomial.legendre import leggauss
 
 from .geometry import PHI_MAX, PHI_MIN, PolarPoint
-from .greens import BoundaryKind, _check_time, _kernel_grid
+from .greens import _ENVELOPE_PREF, _ENVELOPE_RATE, BoundaryKind, _check_time, _kernel_grid
 
 RHO_MAX_CAP = 1.0e4
 
@@ -274,11 +279,16 @@ def effective_growth_rate(B: float, degree: int, t: float, alpha: float) -> floa
 def rho_max(spec: QuadratureSpec, t: float, r: float, B: float) -> float:
     """Radial cutoff R such that the tail of the kernel majorant is < tol.
 
-    The integrand modulus is dominated by
-    ``(1/t) * exp(-a rho^2 + b rho)`` with ``a = sin(2 alpha)/(4t)`` and
-    ``b = 3r/(2t) + B + 1``; the Gaussian tail bound
-    ``Int_R^inf <= exp(b^2/(4a)) * exp(-a (R-mu)^2) / (2 a (R-mu) t)`` with
-    ``mu = b/(2a)`` is inverted for the smallest adequate R by bisection.
+    On the ray z = rho*exp(1j*alpha) the kernel pair obeys
+    |D| + |I| <= ``greens_reduced_bound(t, r, rho)`` * exp(-a rho^2) with
+    ``a = sin(2 alpha)/(4t)``.  Over the angular interval of length 2 pi,
+    with |F| <= exp(B rho) (the datum's A is folded into the tolerance by
+    the caller) and the polar Jacobian rho <= exp(rho), the integrand
+    modulus is dominated by ``(3/(2t)) * exp(-a rho^2 + b rho)`` with
+    ``b = r/(2t) + B + 1``; the Gaussian tail bound
+    ``Int_R^inf <= (3/(2t)) * exp(b^2/(4a)) * exp(-a (R-mu)^2) / (2 a (R-mu))``
+    with ``mu = b/(2a)`` is inverted for the smallest adequate R by
+    bisection.
 
     Raises
     ------
@@ -293,12 +303,13 @@ def rho_max(spec: QuadratureSpec, t: float, r: float, B: float) -> float:
     if spec.fixed_rho_max is not None:
         return float(spec.fixed_rho_max)
     a = math.sin(2.0 * spec.alpha) / (4.0 * t)
-    b = 1.5 * r / t + B + 1.0
+    b = _ENVELOPE_RATE * r / t + B + 1.0
     mu = b / (2.0 * a)
+    log_pref = math.log(2.0 * math.pi * _ENVELOPE_PREF / t) + b * b / (4.0 * a)
 
     def log_tail(R: float) -> float:
         x = R - mu
-        return b * b / (4.0 * a) - a * x * x - math.log(2.0 * a * x * t)
+        return log_pref - a * x * x - math.log(2.0 * a * x)
 
     log_tol = math.log(spec.tol)
     lo = mu + 1e-9

@@ -48,6 +48,10 @@ from .geometry import (
 
 _QUARTER_PI = 0.25 * math.pi
 
+# greens_reduced_bound = _ENVELOPE_PREF/t * exp(_ENVELOPE_RATE * r|z|/t)
+_ENVELOPE_PREF = 3.0 / (4.0 * math.pi)
+_ENVELOPE_RATE = 0.5
+
 
 def _check_time(t: float) -> None:
     if not 0 < t < math.inf:
@@ -152,14 +156,26 @@ def greens(kind: BoundaryKind, t: float, x: PolarPoint, y: PolarPoint) -> comple
 
 
 def greens_reduced_bound(t: float, r: float, zabs: float) -> float:
-    """Envelope (1/(2 pi t)) * exp(3 r |z| / (2 t)) of the reduced kernel.
+    """Envelope (3/(4 pi t)) * exp(r |z| / (2 t)) of the reduced kernel.
 
-    The reduced kernel is the propagator at a rotated radius z with its
-    Gaussian factor exp(i z^2/(4t)) divided out; this envelope times that
-    factor's modulus is the integrand majorant behind ``evolve.rho_max``.
+    The reduced kernel is the propagator at a rotated radius z (Re z > 0)
+    with its Gaussian factor exp(i z^2/(4t)) divided out.  Write the
+    ``_kernel_grid`` pair as pref * exp(P) * (L(w1), L(-w1)) with
+    |pref| = 1/(8 pi t) and z = |z| exp(i alpha).  Without the Gaussian
+    factor, Re P = -r |z| sin(alpha)/(2t) <= 0 and
+    Re(P + w1^2) = r |z| sin(alpha) cos(phi - theta)/(2t) <= r |z|/(2t).
+    The half whose argument has Re >= 0 is at most exp(Re P), because
+    |L| <= 1 there (DLMF 7.8); the other half, by L(-v) = 2 exp(v^2) - L(v),
+    is at most 2 exp(Re(P + w1^2)) + exp(Re P).  So each half is at most
+    3/(8 pi t) * exp(r |z|/(2t)), the pair sums to at most
+    (1/(2 pi t)) * exp(r |z|/(2t)), and the propagator, one half at theta
+    plus one at pi - theta, to at most this envelope.  The bound needs only
+    |cos(phi - theta)| <= 1, so it holds for either orientation of the
+    pair.  Times the Gaussian factor's modulus it is the integrand majorant
+    behind ``evolve.rho_max``.
     """
     _check_time(t)
-    return math.exp(1.5 * r * zabs / t) / (2.0 * math.pi * t)
+    return _ENVELOPE_PREF * math.exp(_ENVELOPE_RATE * r * zabs / t) / t
 
 
 def schrodinger_residual(kind: BoundaryKind, t: float, x: CartesianPoint, y: PolarPoint, h: float) -> float:

@@ -107,13 +107,16 @@ def test_malformed_config_line_is_usage_error(tmp_path):
 
 
 @pytest.mark.parametrize("line", ["method = oprator", "component = bogus", "threads = two"])
-def test_bad_config_value_fails_the_flags_own_check(tmp_path, line):
+def test_bad_config_value_fails_the_flags_own_check(tmp_path, capsys, line):
     conf = tmp_path / "run.conf"
     conf.write_text(f"t = 1.0\nplane_wave = 0.5,0.5\n{line}\n")
     with pytest.raises(SystemExit) as exc:
         main(["field", "--config", str(conf), "--x", "1,1.1", "--out", str(tmp_path / "o.csv")])
     assert exc.value.code == 2
     assert not (tmp_path / "o.csv").exists()
+    # the file and line, then argparse's own message for the flag
+    flag = "--" + line.split(" =")[0]
+    assert f"{conf}:3: argument {flag}: invalid " in capsys.readouterr().err
 
 
 def test_config_key_of_another_command_is_ignored(tmp_path):

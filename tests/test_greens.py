@@ -185,9 +185,9 @@ def test_holomorphy_cauchy_riemann():
 
 
 def test_reduced_bound_reference_values():
-    assert greens_reduced_bound(1.0, 0.0, 5.0) == pytest.approx(1.0 / (2 * math.pi), rel=1e-14)
+    assert greens_reduced_bound(1.0, 0.0, 5.0) == pytest.approx(3.0 / (4 * math.pi), rel=1e-14)
     assert greens_reduced_bound(2.0, 1.0, 1.0) == pytest.approx(
-        math.exp(0.75) / (4 * math.pi), rel=1e-14
+        3.0 * math.exp(0.25) / (8 * math.pi), rel=1e-14
     )
 
 
@@ -203,6 +203,36 @@ def test_reduced_bound_dominates_random_sector_points():
         for kind in BoundaryKind:
             val = abs(_reduced(kind, t, x, z, theta))
             assert val <= greens_reduced_bound(t, x.r, abs(z)) * (1 + 1e-12)
+
+
+def test_reduced_bound_envelope_in_log_space():
+    # |G| and |D| + |I| against greens_reduced_bound * |exp(i z^2/(4t))| over
+    # t in [1e-3, 1e3], r/sqrt(t) <= 10, |z|/sqrt(t) <= 40, alpha in
+    # {0} u (0, pi/2); logs, so neither side overflows or underflows
+    rng = np.random.default_rng(4047)
+    theta = np.linspace(-0.5 * math.pi, 1.5 * math.pi, 65)
+    worst_g = worst_pair = -math.inf
+    for i in range(400):
+        t = 10.0 ** rng.uniform(-3.0, 3.0)
+        x = PolarPoint(10.0 * math.sqrt(t) * rng.uniform(), rng.uniform(-0.5 * math.pi, 1.5 * math.pi))
+        rho = 40.0 * math.sqrt(t) * rng.uniform()
+        alpha = 0.0 if i % 4 == 0 else rng.uniform(0.0, 0.5 * math.pi)
+        z = rho * cmath.exp(1j * alpha)
+        log_bound = math.log(greens_reduced_bound(t, x.r, rho)) - rho * rho * math.sin(2 * alpha) / (4 * t)
+        G = _kernel_grid(t, x, z, np.concatenate([theta, math.pi - theta]))
+        direct, image = G[0, :theta.size], G[1, theta.size:]
+        with np.errstate(divide="ignore"):
+            log_pair = np.log(np.abs(direct) + np.abs(G[1, :theta.size]))
+            log_g = np.log(np.abs(np.stack([direct + kind.sign * image for kind in BoundaryKind])))
+        assert np.all(log_pair <= log_bound + 1e-9)
+        assert np.all(log_g <= log_bound + 1e-9)
+        if x.r * rho / (2 * t) >= 10.0:
+            worst_pair = max(worst_pair, log_pair.max() - log_bound)
+            worst_g = max(worst_g, log_g.max() - log_bound)
+    # tight where the exponent r|z|/(2t) is 10 or more, so that a looser
+    # prefactor or rate shows (a rate of 3r|z|/(2t) would read <= -20)
+    assert worst_g >= -1.0
+    assert worst_pair >= -1.5
 
 
 def test_reduced_bound_dominates_alpha_sweep():
