@@ -529,9 +529,7 @@ def run_greens(cfg, parser_error) -> int:
 
 
 def run_validate(cfg) -> int:
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", TruncationInsufficient)
-        results = run_suites()
+    results = run_suites()
     width = max(len(r.name) for r in results)
     for r in results:
         status = "PASS" if r.passed else "FAIL"

@@ -23,7 +23,7 @@ import math
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
-from scipy.special import wofz
+from scipy.special import erfcx as _real_erfcx, wofz
 
 SQRT_PI = math.sqrt(math.pi)
 TWO_OVER_SQRT_PI = 2.0 / SQRT_PI
@@ -94,7 +94,7 @@ def erfcx_by_quadrature(z, tol=1e-13):
 
 
 def mittag_leffler_half(x):
-    """Mittag-Leffler function E_{1/2,1/2}(x) = sum_n x^n / Gamma((n+1)/2).
+    """E_{1/2,1/2}(x) = sum_n x^n / Gamma((n+1)/2) = 1/sqrt(pi) + x * erfcx(-x).
 
     Grows like 2*x*exp(x^2); this is the envelope controlling how fast the
     operator-series majorants blow up with the datum growth rate.
@@ -114,32 +114,10 @@ def mittag_leffler_half(x):
     """
     if x < 0:
         raise ValueError(f"mittag_leffler_half requires x >= 0, got {x}")
-    # terms advance via q_n = Gamma((n+1)/2)/Gamma((n+2)/2), which obeys
-    # q_{n+2} = q_n (n+1)/(n+2); no Gamma of a large integer is ever formed
-    q_even = SQRT_PI          # q_0
-    q_odd = 2.0 / SQRT_PI     # q_1
-    term = 1.0 / SQRT_PI      # x^0 / Gamma(1/2)
-    total = term
-    comp = 0.0
-    for n in range(100000):
-        if n % 2 == 0:
-            term = term * x * q_even
-            q_even = q_even * (n + 1) / (n + 2)
-        else:
-            term = term * x * q_odd
-            q_odd = q_odd * (n + 1) / (n + 2)
-        # Neumaier update (terms are nonnegative but keep the general form)
-        s = total + term
-        if math.isinf(s):
-            raise OverflowError(f"mittag_leffler_half overflows at x={x}")
-        if abs(total) >= abs(term):
-            comp += (total - s) + term
-        else:
-            comp += (term - s) + total
-        total = s
-        if n > 4 and term < 1e-16 * total:
-            return total + comp
-    raise ToleranceNotReached(f"mittag_leffler_half series stalled at x={x}")
+    value = 1.0 / SQRT_PI + x * float(_real_erfcx(-x))
+    if math.isinf(value):
+        raise OverflowError(f"mittag_leffler_half overflows at x={x}")
+    return value
 
 
 def log_mittag_leffler_half(x):
@@ -147,20 +125,12 @@ def log_mittag_leffler_half(x):
 
     The continuity-constant bounds square E_{1/2,1/2} at arguments where
     the value itself is far beyond double range, so the bound arithmetic
-    runs in log space through this function.
+    runs in log space through this function.  Above x = 1 it splits
+    E = 2x exp(x^2) + (1/sqrt(pi) - x erfcx(x)) and takes the rest by log1p.
     """
     if x < 0:
         raise ValueError(f"log_mittag_leffler_half requires x >= 0, got {x}")
-    if x == 0.0:
-        return -math.log(SQRT_PI)
-    if x <= 20.0:
+    if x <= 1.0:
         return math.log(mittag_leffler_half(x))
-    # log-sum-exp over log(x^n / Gamma((n+1)/2)); terms peak near n = 2 x^2
-    from scipy.special import gammaln
-
-    n_peak = int(2.0 * x * x)
-    width = int(12.0 * math.sqrt(n_peak) + 40)
-    n = np.arange(max(0, n_peak - width), n_peak + width + 1, dtype=float)
-    logs = n * math.log(x) - gammaln((n + 1.0) / 2.0)
-    m = logs.max()
-    return float(m + math.log(np.sum(np.exp(logs - m))))
+    rest = (1.0 / SQRT_PI - x * float(_real_erfcx(x))) / (2.0 * x)
+    return x * x + math.log(2.0 * x) + math.log1p(math.exp(-x * x) * rest)

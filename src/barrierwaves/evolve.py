@@ -41,7 +41,8 @@ radial cutoff: the spec's panel counts, halved up to three times (rounded
 up to whole panels, and only while both directions keep two panels or
 more), are evaluated from the coarsest up, and the first
 level that agrees with the level below to within ``tol`` is returned with
-that difference as its error estimate.  Each level is the error estimate
+that difference as its error estimate, floored at the rounding error
+eps * sum |terms| of the level's own sum.  Each level is the error estimate
 of the next, so no node is evaluated beyond the first converged level.
 """
 
@@ -58,6 +59,7 @@ from .geometry import PHI_MAX, PHI_MIN, PolarPoint
 from .greens import _ENVELOPE_PREF, _ENVELOPE_RATE, BoundaryKind, _check_time, _kernel_grid
 
 RHO_MAX_CAP = 1.0e4
+_EPS = np.finfo(float).eps
 
 
 class TailBoundUnsatisfiable(ArithmeticError):
@@ -185,7 +187,8 @@ class WaveSample:
     """One evaluated solution value with its refinement error estimate.
 
     ``n_rho`` and ``n_theta`` are the node counts of the ladder level that
-    was returned; ``est_error`` is its difference to the level below.
+    was returned; ``est_error`` is its difference to the level below, or
+    the rounding floor eps * sum |terms| when that is larger.
     """
 
     value: complex
@@ -330,13 +333,14 @@ def rho_max(spec: QuadratureSpec, t: float, r: float, B: float) -> float:
     return hi
 
 
-def _paired_sum(kind, G, F, z1, z2, w2d) -> complex:
-    """Sum of w2d * (D F(z1, z2) + sign * I F(-z1, z2)) over the grid, (D, I) = G."""
+def _paired_sum(kind, G, F, z1, z2, w2d) -> tuple[complex, float]:
+    """Sum of w2d * (D F(z1, z2) + sign * I F(-z1, z2)) over the grid, (D, I) = G,
+    and the sum of the moduli of its direct and image terms."""
     terms = eval_datum(F, np.multiply.outer((1.0, -1.0), z1), z2)
     terms *= G
     terms *= w2d
     direct, image = terms.sum(axis=(1, 2))
-    return complex(direct + kind.sign * image)
+    return complex(direct + kind.sign * image), float(np.abs(terms).sum())
 
 
 def _polar_rule(R: float, n_rho: int, n_theta: int, order: int, alpha: float = 0.0):
@@ -356,14 +360,15 @@ def _polar_rule(R: float, n_rho: int, n_theta: int, order: int, alpha: float = 0
 
 
 def _quad_value(kind, t, x, F, alpha, R, n_rho, n_theta, order):
-    """One tensor quadrature pass at the given node counts."""
+    """One tensor quadrature pass at the given node counts: (value, sum of |terms|)."""
     _, z, w_rho, th, wth = _polar_rule(R, n_rho, n_theta, order, alpha)
     G = _kernel_grid(t, x, z[:, None], th[None, :])
     z1 = z[:, None] * np.cos(th)[None, :]
     z2 = z[:, None] * np.sin(th)[None, :]
     w2d = w_rho[:, None] * wth[None, :]
     phase = complex(math.cos(2.0 * alpha), math.sin(2.0 * alpha))
-    return phase * _paired_sum(kind, G, F, z1, z2, w2d)
+    value, magnitude = _paired_sum(kind, G, F, z1, z2, w2d)
+    return phase * value, magnitude
 
 
 def _node_ladder(spec: QuadratureSpec) -> list[tuple[int, int]]:
@@ -393,7 +398,9 @@ def psi_fresnel(kind: BoundaryKind, t: float, x: PolarPoint, F: InitialDatum,
     ``spec.n_theta`` at the finest level, up to three halvings below) from
     the coarsest up, all on one radial cutoff, and returns the first level
     whose difference to the level below is at most ``spec.tol``; that
-    difference is reported as ``est_error``.  The finest level is accepted
+    difference, or eps times the sum of the moduli of the level's terms
+    (the rounding of the sum) when that is larger, is reported as
+    ``est_error``.  The finest level is accepted
     up to 10 * spec.tol.
 
     Raises
@@ -415,11 +422,13 @@ def psi_fresnel(kind: BoundaryKind, t: float, x: PolarPoint, F: InitialDatum,
     levels = _node_ladder(spec)
     # an overflowing kernel leaves a non-finite estimate, which is rejected below
     with np.errstate(over="ignore", invalid="ignore"):
-        coarse = _quad_value(kind, t, x, F, spec.alpha, R, *levels[0], spec.panel_order)
+        coarse, _ = _quad_value(kind, t, x, F, spec.alpha, R, *levels[0], spec.panel_order)
         for n_rho, n_theta in levels[1:]:
-            fine = _quad_value(kind, t, x, F, spec.alpha, R, n_rho, n_theta, spec.panel_order)
+            fine, magnitude = _quad_value(kind, t, x, F, spec.alpha, R, n_rho, n_theta,
+                                          spec.panel_order)
             try:
-                est = abs(fine - coarse)
+                # a difference below the rounding of the sum itself says nothing
+                est = max(abs(fine - coarse), _EPS * magnitude)
             except OverflowError:
                 est = math.inf
             if est <= spec.tol:
@@ -486,7 +495,7 @@ def psi_regularized_oracle(kind: BoundaryKind, t: float, x: PolarPoint, F: Initi
         y2 = rho[:, None] * np.sin(th)[None, :]
         damp = np.exp(-eps * rho * rho)
         w2d = (w_rho * damp)[:, None] * wth[None, :]
-        values.append(_paired_sum(kind, G, F, y1, y2, w2d))
+        values.append(_paired_sum(kind, G, F, y1, y2, w2d)[0])
     # Lagrange extrapolation to eps = 0, full set and leave-first-out
     def lagrange_at_zero(xs, ys):
         total = 0.0 + 0.0j

@@ -121,13 +121,19 @@ def _log_gamma_pair_sums(m_max: int) -> np.ndarray:
     return memo[:m_max + 1]
 
 
-def _log_majorant_terms(t: float, r: float, alpha: float, log_weight: float, m_max: int):
+def _log_majorant_terms(t: float, r: float, alpha: float, log_weight: float,
+                        m_max: int | None = None):
     """log of T_m = sum_{n1+n2=m} coeff_bound * exp(m * log_weight), m = 0..m_max.
 
-    ``log_weight`` is the log of the per-order derivative weight (e.g.
-    log(e*B) for a datum envelope, log(max|k_i|) for a plane wave).
+    ``log_weight`` is the log of the per-order derivative weight w (e.g.
+    log(e*B) for a datum envelope, log(max|k_i|) for a plane wave).  The
+    terms peak near m = 2 x^2, x = w sqrt(16 t / sin 2alpha); the default
+    ``m_max`` = 4 x^2 + 40 x + 200 ends far past the peak, and past N_CAP.
     """
     base, log_scale = _log_bound_factors(t, r, alpha)
+    if m_max is None:
+        x = math.exp(log_scale + log_weight)
+        m_max = int(4.0 * x * x + 40.0 * x + 200)
     log_S = _log_gamma_pair_sums(m_max)
     m = np.arange(m_max + 1)
     mw = m * log_weight
@@ -151,11 +157,10 @@ def truncation_order(t: float, r: float, alpha: float, B: float, tol: float) -> 
 
     The tail sums ``coeff_bound(n1,n2) * (e*B)^(n1+n2)`` over n1+n2 > N;
     this is the derivative-bound-weighted majorant of everything the
-    operator discards.  The majorant is summed in log space until its
-    terms have decayed far past their peak.  Every tail with N <= 60
-    holds the term of order 61, and a log-sum-exp is never below its
-    largest term, so an order-61 term at or above tol rejects the cap from
-    the first 62 terms alone.
+    operator discards, summed in log space over the default length of
+    ``_log_majorant_terms``.  Every tail with N <= 60 holds the term of
+    order 61, and a log-sum-exp is never below its largest term, so an
+    order-61 term at or above tol rejects the cap from the first 62 terms.
 
     Raises
     ------
@@ -172,13 +177,11 @@ def truncation_order(t: float, r: float, alpha: float, B: float, tol: float) -> 
         raise ValueError(f"tol must be positive, got {tol}")
     if B == 0.0:
         return 0
-    x = 4.0 * math.e * B * math.sqrt(t / math.sin(2.0 * alpha))
-    m_max = int(4.0 * x * x + 40.0 * x + 200)
     log_weight = math.log(math.e * B)
     log_tol = math.log(tol)
     # the memo makes these entries bitwise equal to those of the long array
     if _log_majorant_terms(t, r, alpha, log_weight, N_CAP + 1)[-1] < log_tol:
-        log_terms = _log_majorant_terms(t, r, alpha, log_weight, m_max)
+        log_terms = _log_majorant_terms(t, r, alpha, log_weight)
         for n in range(N_CAP + 1):
             if _log_tail(log_terms, n) < log_tol:
                 return n
@@ -193,10 +196,7 @@ class CoeffTable:
     """Tabulated operator coefficients c_{n1,n2}, n1+n2 <= N, at one (t, x).
 
     ``c[n1, n2]`` and ``bound[n1, n2]`` are valid for n1+n2 <= N (other
-    entries are zero).  ``tail_bound`` is the certified majorant tail at
-    unit per-component frequency: applying the table to any datum whose
-    mixed derivatives at 0 are bounded by one in modulus discards at most
-    ``tail_bound``.  ``est_error`` is a mesh-refinement difference taken
+    entries are zero).  ``est_error`` is a mesh-refinement difference taken
     over all entries at once.
     """
 
@@ -206,7 +206,6 @@ class CoeffTable:
     N: int
     c: np.ndarray
     bound: np.ndarray
-    tail_bound: float
     est_error: float
     spec: QuadratureSpec
 
@@ -292,16 +291,10 @@ def build_table(kind: BoundaryKind, t: float, x: PolarPoint, N: int,
     bound = np.zeros((N + 1, N + 1))
     bound[valid] = coeff_bound(t, x.r, spec.alpha, n1g[valid], n2g[valid])
 
-    x_ml = 4.0 * math.sqrt(t / math.sin(2.0 * spec.alpha))
-    m_max = int(4.0 * x_ml * x_ml + 40.0 * x_ml + 200)
-    log_terms = _log_majorant_terms(t, x.r, spec.alpha, 0.0, max(m_max, N + 2))
-    log_tail = _log_tail(log_terms, N)
-    tail_bound = math.inf if log_tail > math.log(np.finfo(float).max) else math.exp(log_tail)
-
     c.setflags(write=False)
     bound.setflags(write=False)
     return CoeffTable(kind=kind, t=t, x=x, N=N, c=c, bound=bound,
-                      tail_bound=tail_bound, est_error=est_error, spec=spec)
+                      est_error=est_error, spec=spec)
 
 
 def _require_usable_table(table: CoeffTable) -> None:
@@ -397,9 +390,7 @@ def apply_plane_wave(table: CoeffTable, k):
     batch = k.reshape(-1, 2)
     kappa = float(np.abs(batch).max()) if batch.size else 0.0
     if kappa > 0:
-        log_terms = _log_majorant_terms(
-            table.t, table.x.r, table.spec.alpha, math.log(kappa),
-            max(int(4.0 * (4.0 * kappa) ** 2 * table.t + 40), table.N + 2))
+        log_terms = _log_majorant_terms(table.t, table.x.r, table.spec.alpha, math.log(kappa))
         if _log_tail(log_terms, table.N) > math.log(table.spec.tol):
             warnings.warn(
                 f"certified series tail at |k|={kappa:.3g} exceeds tol={table.spec.tol}; "
@@ -440,10 +431,7 @@ def log_continuity_constant(t: float, r: float, alpha: float, B: float) -> float
     _check_time(t)
     if not 0 <= B < math.inf:
         raise ValueError(f"growth rate must be finite and nonnegative, got B={B}")
-    s = math.sin(2.0 * alpha)
-    x = 4.0 * math.e * B * math.sqrt(t) / math.sqrt(s)
-    return (
-        math.log(8.0 * math.pi * math.pi / s)
-        + 4.5 * r * r / (t * s)
-        + 2.0 * log_mittag_leffler_half(x)
-    )
+    # (8 pi^2 / sin 2alpha) exp(9 r^2 / (2 t sin 2alpha)) = exp(base) * scale^2
+    base, log_scale = _log_bound_factors(t, r, alpha)
+    x = math.exp(log_scale) * math.e * B
+    return base + 2.0 * log_scale + 2.0 * log_mittag_leffler_half(x)

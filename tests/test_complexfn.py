@@ -1,5 +1,6 @@
 """Tests for the scaled complementary error function and its relatives."""
 
+import decimal
 import math
 
 import numpy as np
@@ -149,13 +150,44 @@ def test_mittag_leffler_at_zero():
     assert mittag_leffler_half(0.0) == pytest.approx(1.0 / math.sqrt(math.pi), rel=1e-14)
 
 
-def test_mittag_leffler_shift_identity():
-    # E(x) = 1/sqrt(pi) + x e^{x^2} erfc(-x), both sides evaluated
-    # independently.
-    x = 1.5
-    lhs = mittag_leffler_half(x)
-    rhs = 1.0 / math.sqrt(math.pi) + x * erfcx(-x)
-    assert abs(lhs - rhs) <= 1e-12 * abs(rhs)
+def _log_series(x):
+    """log of sum_n x^n / Gamma((n+1)/2), summed in log space about its peak."""
+    logs = [n * math.log(x) - math.lgamma((n + 1) / 2.0)
+            for n in range(int(4 * x * x + 40 * x + 200))]
+    peak = max(logs)
+    return peak + math.log(math.fsum(math.exp(v - peak) for v in logs))
+
+
+def _decimal_series(x):
+    """E_{1/2,1/2}(x) summed in 50-digit decimal arithmetic.
+
+    The odd orders n = 2k + 1 give x^n / k!, the even orders n = 2k give
+    x^n 4^k k! / ((2k)! sqrt(pi)); both advance by exact term ratios.
+    """
+    with decimal.localcontext() as ctx:
+        ctx.prec = 50
+        x2 = decimal.Decimal(x) ** 2
+        odd = odd_sum = decimal.Decimal(x)
+        even = even_sum = decimal.Decimal(1)
+        for k in range(1, int(4 * x * x + 40 * x + 200)):
+            odd = odd * x2 / k
+            even = even * 2 * x2 / (2 * k - 1)
+            odd_sum += odd
+            even_sum += even
+        return float(odd_sum) + float(even_sum) / math.sqrt(math.pi)
+
+
+@pytest.mark.parametrize("x", [0.5, 3.0, 12.0, 20.0, 25.0, 40.0])
+def test_mittag_leffler_against_series_oracles(x):
+    # the log-space sum carries about 1e-13 absolute rounding in its logs,
+    # which exp turns into ~2e-13 relative at x = 25, so the value is held
+    # to a 50-digit decimal sum of the same series instead
+    assert log_mittag_leffler_half(x) == pytest.approx(_log_series(x), rel=1e-13)
+    if x < 26.0:
+        assert mittag_leffler_half(x) == pytest.approx(_decimal_series(x), rel=1e-13)
+    else:
+        with pytest.raises(OverflowError):
+            mittag_leffler_half(x)
 
 
 def test_mittag_leffler_against_partial_sum_oracle():

@@ -281,9 +281,9 @@ def test_finest_level_reproduces_fixed_pair():
     kind, t, x, F = BoundaryKind.DIRICHLET, 0.84, PolarPoint(3.15, 2.46), PlaneWave(-0.25, -1.19)
     s = psi_fresnel(kind, t, x, F, SPEC)
     assert (s.n_rho, s.n_theta) == (SPEC.n_rho, SPEC.n_theta)
-    fine = _quad_value(kind, t, x, F, SPEC.alpha, s.rho_max, SPEC.n_rho, SPEC.n_theta, SPEC.panel_order)
-    coarse = _quad_value(kind, t, x, F, SPEC.alpha, s.rho_max,
-                         SPEC.n_rho // 2, SPEC.n_theta // 2, SPEC.panel_order)
+    fine, _ = _quad_value(kind, t, x, F, SPEC.alpha, s.rho_max, SPEC.n_rho, SPEC.n_theta, SPEC.panel_order)
+    coarse, _ = _quad_value(kind, t, x, F, SPEC.alpha, s.rho_max,
+                            SPEC.n_rho // 2, SPEC.n_theta // 2, SPEC.panel_order)
     assert s.value == fine
     assert s.est_error == abs(fine - coarse)
 
@@ -312,8 +312,8 @@ def test_ladder_agrees_with_finest_level_within_estimate():
     for kind, t, x, F in _seeded_ladder_points():
         s = psi_fresnel(kind, t, x, F, SPEC)
         levels.add(s.n_rho)
-        finest = _quad_value(kind, t, x, F, SPEC.alpha, s.rho_max,
-                             SPEC.n_rho, SPEC.n_theta, SPEC.panel_order)
+        finest, _ = _quad_value(kind, t, x, F, SPEC.alpha, s.rho_max,
+                                SPEC.n_rho, SPEC.n_theta, SPEC.panel_order)
         assert abs(s.value - finest) <= s.est_error <= 10 * SPEC.tol
     # the seeded points stop at every level above the coarsest
     assert levels == {48, 96, 192}
@@ -337,9 +337,23 @@ def test_corner_sweep_converges_within_estimate():
         kn, ang = rng.uniform(0.0, 1.5), rng.uniform(0.0, 2 * math.pi)
         F = PlaneWave(kn * math.cos(ang), kn * math.sin(ang))
         s = psi_fresnel(kind, t, x, F, SPEC)
-        finest = _quad_value(kind, t, x, F, SPEC.alpha, s.rho_max,
-                             SPEC.n_rho, SPEC.n_theta, SPEC.panel_order)
+        finest, _ = _quad_value(kind, t, x, F, SPEC.alpha, s.rho_max,
+                                SPEC.n_rho, SPEC.n_theta, SPEC.panel_order)
         assert abs(s.value - finest) <= s.est_error <= 10 * SPEC.tol
+
+
+def test_estimate_is_floored_at_the_rounding_of_the_sum():
+    # here 48x48 and 32x32 agree to 6.1e-18, closer than either sum is
+    # rounded, and the finest rule differs by 1.5e-17
+    kind, t, x = BoundaryKind.DIRICHLET, 0.769, PolarPoint(0.1147, -1.5016)
+    F = TaylorField(np.array([[0.824]]))
+    s = psi_fresnel(kind, t, x, F, SPEC)
+    finest, _ = _quad_value(kind, t, x, F, SPEC.alpha, s.rho_max,
+                            SPEC.n_rho, SPEC.n_theta, SPEC.panel_order)
+    _, magnitude = _quad_value(kind, t, x, F, SPEC.alpha, s.rho_max,
+                               s.n_rho, s.n_theta, SPEC.panel_order)
+    assert s.est_error >= np.finfo(float).eps * magnitude
+    assert abs(s.value - finest) <= s.est_error <= 10 * SPEC.tol
 
 
 def test_nonconvergence_on_starved_mesh():

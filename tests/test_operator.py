@@ -245,6 +245,26 @@ def test_majorant_memo_grows_consistently_under_threads(monkeypatch):
     assert operator_module._log_S_memo.size == 2048
 
 
+@pytest.mark.parametrize("alpha", [0.1, 0.4, math.pi / 4])
+@pytest.mark.parametrize("x", [1.0, 8.0, 20.0])
+def test_default_majorant_length_runs_far_past_the_peak(alpha, x):
+    # x = w sqrt(16 t / sin 2alpha) for the per-order weight w
+    t = 0.7
+    w = x / math.sqrt(16.0 * t / math.sin(2.0 * alpha))
+    log_terms = _log_majorant_terms(t, 0.9, alpha, math.log(w))
+    peak = int(np.argmax(log_terms))
+    assert peak < log_terms.size - 1
+    assert log_terms[-1] <= log_terms[peak] - 30.0
+
+
+def test_alpha_blind_length_stops_before_the_peak():
+    # 4 (4 kappa)^2 t + 40 terms, a length rule that ignores alpha, ends
+    # before the majorant peaks at small alpha
+    t, alpha, kappa = 1.0, 0.1, 2.0
+    log_terms = _log_majorant_terms(t, 0.9, alpha, math.log(kappa))
+    assert int(np.argmax(log_terms)) > int(4.0 * (4.0 * kappa) ** 2 * t + 40)
+
+
 def test_truncation_order_zero_growth():
     assert truncation_order(1.0, 1.0, ALPHA, 0.0, 1e-5) == 0
 
