@@ -127,7 +127,7 @@ def _log_majorant_terms(t: float, r: float, alpha: float, log_weight: float,
 
     ``log_weight`` is the log of the per-order derivative weight w (e.g.
     log(e*B) for a datum envelope, log(max|k_i|) for a plane wave).  The
-    terms peak near m = 2 x^2, x = w sqrt(16 t / sin 2alpha); the default
+    terms peak near m = 4 x^2, x = w sqrt(16 t / sin 2alpha); the default
     ``m_max`` = 4 x^2 + 40 x + 200 ends far past the peak, and past N_CAP.
     """
     base, log_scale = _log_bound_factors(t, r, alpha)
