@@ -24,6 +24,7 @@ byte-identical for any ``--threads`` value.
 from __future__ import annotations
 
 import argparse
+import cmath
 import dataclasses
 import math
 import os
@@ -71,14 +72,34 @@ def _parse_kind(text: str) -> BoundaryKind:
             f"kind must be dirichlet or neumann, got {text!r}")
 
 
+def _number_above(convert, lower, what: str):
+    """An argparse type for a finite number above ``lower``: a bad value is
+    a usage error before anything is computed.  Text that ``convert``
+    rejects gets argparse's own message ("invalid float value")."""
+    def parse(text: str):
+        value = convert(text)
+        if not lower < value < math.inf:
+            raise argparse.ArgumentTypeError(
+                f"{what} must be finite and above {lower:g}, got {text!r}")
+        return value
+    parse.__name__ = convert.__name__
+    return parse
+
+
+_parse_time = _number_above(float, 0.0, "time t")
+
+
 def _parse_pair(text: str):
     parts = text.split(",")
     if len(parts) != 2:
         raise argparse.ArgumentTypeError(f"expected two comma-separated values, got {text!r}")
     try:
-        return (complex(parts[0]), complex(parts[1]))
+        pair = (complex(parts[0]), complex(parts[1]))
     except ValueError:
         raise argparse.ArgumentTypeError(f"could not parse pair {text!r}")
+    if not all(cmath.isfinite(v) for v in pair):
+        raise argparse.ArgumentTypeError(f"pair entries must be finite, got {text!r}")
+    return pair
 
 
 def _parse_polar(text: str) -> PolarPoint:
@@ -122,6 +143,8 @@ def _parse_taylor(text: str) -> TaylorField:
         arr = np.zeros((len(rows), width), dtype=complex)
         for i, r in enumerate(rows):
             arr[i, :len(r)] = r
+        if not np.isfinite(arr).all():
+            raise ValueError("coefficients must be finite")
         return TaylorField(arr)
     except ValueError as exc:
         raise argparse.ArgumentTypeError(f"bad polynomial spec {text!r}: {exc}")
@@ -204,7 +227,7 @@ def _build_parser():
     p = subparsers["field"] = sub.add_parser("field", help="sample the evolved field on a grid")
     add_config_flag(p)
     p.add_argument("--kind", type=_parse_kind, default=BoundaryKind.DIRICHLET)
-    p.add_argument("--t", type=float)
+    p.add_argument("--t", type=_parse_time)
     p.add_argument("--grid", type=_parse_grid, help="x1min:x1max:n1,x2min:x2max:n2")
     p.add_argument("--x", type=_parse_polar, help="single polar point r,phi")
     p.add_argument("--plane-wave", type=_parse_pair, dest="plane_wave", metavar="K1,K2")
@@ -214,14 +237,14 @@ def _build_parser():
     p.add_argument("--out", help="CSV output path")
     p.add_argument("--pgm", help="PGM heatmap output path")
     p.add_argument("--component", choices=("re", "im", "abs"), default="abs")
-    p.add_argument("--gamma", type=float, default=1.0)
-    p.add_argument("--threads", type=int, default=1)
+    p.add_argument("--gamma", type=_number_above(float, 0.0, "gamma"), default=1.0)
+    p.add_argument("--threads", type=_number_above(int, 0, "threads"), default=1)
     add_quadrature_flags(p)
 
     p = subparsers["coeffs"] = sub.add_parser("coeffs", help="tabulate operator coefficients")
     add_config_flag(p)
     p.add_argument("--kind", type=_parse_kind, default=BoundaryKind.DIRICHLET)
-    p.add_argument("--t", type=float)
+    p.add_argument("--t", type=_parse_time)
     p.add_argument("--x", type=_parse_polar)
     p.add_argument("--order", type=int, help=f"table order N <= {N_CAP}")
     p.add_argument("--out", help="CSV output path")
@@ -231,14 +254,14 @@ def _build_parser():
         "supershift", help="superoscillation persistence experiment")
     add_config_flag(p)
     p.add_argument("--kind", type=_parse_kind, default=BoundaryKind.DIRICHLET)
-    p.add_argument("--t", type=float)
+    p.add_argument("--t", type=_parse_time)
     p.add_argument("--x", type=_parse_polar)
-    p.add_argument("--a", type=float, default=2.0)
-    p.add_argument("--p1", type=int, default=1)
-    p.add_argument("--p2", type=int, default=1)
+    p.add_argument("--a", type=_number_above(float, 1.0, "target frequency a"), default=2.0)
+    p.add_argument("--p1", type=_number_above(int, 0, "power p1"), default=1)
+    p.add_argument("--p2", type=_number_above(int, 0, "power p2"), default=1)
     p.add_argument("--n-list", type=_parse_nlist, dest="n_list", default=(4, 8, 12, 16))
-    p.add_argument("--radius", type=float, default=4.0)
-    p.add_argument("--samples", type=int, default=6)
+    p.add_argument("--radius", type=_number_above(float, 0.0, "radius"), default=4.0)
+    p.add_argument("--samples", type=_number_above(int, 0, "samples"), default=6)
     p.add_argument("--out", help="CSV output path")
     add_quadrature_flags(p)
 
@@ -246,7 +269,7 @@ def _build_parser():
         "greens", help="evaluate the propagator at one point pair")
     add_config_flag(p)
     p.add_argument("--kind", type=_parse_kind, default=BoundaryKind.DIRICHLET)
-    p.add_argument("--t", type=float)
+    p.add_argument("--t", type=_parse_time)
     p.add_argument("--x", type=_parse_polar)
     p.add_argument("--y", type=_parse_polar)
     p.add_argument("--out", help="optional CSV output path")
@@ -413,8 +436,6 @@ def run_field(cfg, parser_error) -> int:
         parser_error("field needs exactly one of --grid or --x")
     if cfg.out is None and cfg.pgm is None:
         parser_error("field needs --out and/or --pgm")
-    if cfg.threads < 1:
-        parser_error(f"--threads must be >= 1, got {cfg.threads}")
     kind, t = cfg.kind, cfg.t
 
     def value_at(x1: float, x2: float):

@@ -15,6 +15,10 @@ with no geometry attached:
 paths: the former goes through the Faddeeva function
 w(z) = exp(-z^2) erfc(-iz) (``scipy.special.wofz``), the latter integrates
 the defining integral directly, so each one cross-checks the other.
+``erfcx`` is the public any-z function; the propagator's node grids do not
+call it, but evaluate w by Weideman's rational approximation
+(``greens.wofz``), and ``erfcx`` stays on SciPy as the independent
+reference that approximation is tested against.
 """
 
 from __future__ import annotations

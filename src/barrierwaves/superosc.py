@@ -16,6 +16,7 @@ distance between the data.
 
 from __future__ import annotations
 
+import functools
 import math
 import warnings
 from dataclasses import dataclass
@@ -24,7 +25,7 @@ import numpy as np
 
 from .geometry import PolarPoint
 from .greens import BoundaryKind
-from .evolve import DiscreteSuperposition, QuadratureSpec, eval_datum
+from .evolve import DiscreteSuperposition, QuadratureSpec
 from .operator import (
     N_CAP,
     TruncationInsufficient,
@@ -121,12 +122,14 @@ def closed_form_fn(params: SuperoscParams, z1, z2):
     return (np.cos(w) + 1j * params.a * np.sin(w)) ** params.n
 
 
+@functools.lru_cache(maxsize=128)
 def reliable_order(a: float, digits: float = 12.0) -> int:
     """Largest n whose coefficient spread leaves ``digits`` decimal digits.
 
     The F_n sum cancels |C_j| ~ a^n down to order one, so roughly
     log10(max|C_j|) digits are lost to the cancellation; evaluation in
     doubles stays trustworthy while that loss is at most ~12 digits.
+    Memoized: the search builds one coefficient array per order.
     """
     if not a > 1:
         raise ValueError(f"target frequency must exceed 1, got a={a}")
@@ -164,9 +167,12 @@ def a1_distance(params: SuperoscParams, radius: float, growth: float,
     phases = np.exp(2j * math.pi * np.arange(8) / 8.0)
     shells = radius * np.arange(1, samples + 1) / samples
     axis = np.concatenate([[0.0 + 0.0j], (shells[:, None] * phases[None, :]).ravel()])
-    z1 = axis[:, None] * np.ones_like(axis)[None, :]
-    z2 = np.ones_like(axis)[:, None] * axis[None, :]
-    fn = eval_datum(seq, z1, z2)
+    z1 = axis[:, None]
+    z2 = axis[None, :]
+    # F_n on the tensor grid factorises per component: (e1 * C) @ e2^T
+    e1 = np.exp(np.multiply.outer(1j * axis, seq.wavevectors[:, 0]))
+    e2 = np.exp(np.multiply.outer(1j * axis, seq.wavevectors[:, 1]))
+    fn = (e1 * seq.weights) @ e2.T
     a1, a2 = params.a_vec
     target = np.exp(1j * (a1 * z1 + a2 * z2))
     weight = np.exp(-growth * np.sqrt(np.abs(z1) ** 2 + np.abs(z2) ** 2))

@@ -17,6 +17,7 @@ from barrierwaves.geometry import PolarPoint
 from barrierwaves.greens import BoundaryKind, greens
 
 greens_module = importlib.import_module("barrierwaves.greens")
+cli_module = importlib.import_module("barrierwaves.cli")
 
 
 def _read_csv(path):
@@ -61,6 +62,42 @@ def test_invalid_quadrature_spec_is_usage_error(tmp_path, flags):
         main(["field", "--t", "1", "--x", "1,1", "--plane-wave", "0.5,0.5",
               "--out", str(tmp_path / "f.csv"), *flags])
     assert exc.value.code == 2
+
+
+_FIELD_AT = ["field", "--x", "1,0.3"]
+_SUPERSHIFT_AT = ["supershift", "--t", "1", "--x", "1,0.3"]
+
+
+def _must_not_run(*args, **kwargs):
+    raise AssertionError("a usage error must be reported before any computation")
+
+
+@pytest.mark.parametrize("flag, argv", [
+    ("--t", _FIELD_AT + ["--t", "-1", "--plane-wave", "0.5,0.5"]),
+    ("--t", _FIELD_AT + ["--t", "nan", "--plane-wave", "0.5,0.5"]),
+    ("--plane-wave", _FIELD_AT + ["--t", "1", "--plane-wave", "nan,0"]),
+    ("--taylor", _FIELD_AT + ["--t", "1", "--taylor", "1 nan"]),
+    ("--threads", _FIELD_AT + ["--t", "1", "--plane-wave", "0.5,0.5", "--threads", "0"]),
+    ("--gamma", ["field", "--t", "1", "--grid", "-1:1:3,-1:1:3", "--plane-wave", "0.5,0.5",
+                 "--pgm", "PGM", "--gamma", "0"]),
+    ("--a", _SUPERSHIFT_AT + ["--a", "nan"]),
+    ("--a", _SUPERSHIFT_AT + ["--a", "0.5"]),
+    ("--radius", _SUPERSHIFT_AT + ["--radius", "0"]),
+    ("--samples", _SUPERSHIFT_AT + ["--samples", "0"]),
+    ("--p1", _SUPERSHIFT_AT + ["--p1", "0"]),
+    ("--t", ["coeffs", "--t", "-1", "--x", "1,0.3", "--order", "3"]),
+    ("--t", ["greens", "--t", "inf", "--x", "1,0.3", "--y", "1,1"]),
+])
+def test_invalid_value_is_usage_error_before_any_work(tmp_path, capsys, monkeypatch, flag, argv):
+    for name in ("psi_fresnel", "build_table", "supershift_experiment", "greens"):
+        monkeypatch.setattr(cli_module, name, _must_not_run)
+    argv = [str(tmp_path / "p.pgm") if a == "PGM" else a for a in argv]
+    with pytest.raises(SystemExit) as exc:
+        main(argv + ["--out", str(tmp_path / "o.csv")])
+    assert exc.value.code == 2
+    errors = [line for line in capsys.readouterr().err.splitlines() if "error" in line.lower()]
+    assert len(errors) == 1 and f"argument {flag}: " in errors[0]
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_config_file_supplies_defaults(tmp_path):

@@ -167,6 +167,14 @@ def test_reliable_order_validation():
         reliable_order(1.0)
 
 
+def test_reliable_order_is_memoized():
+    reliable_order.cache_clear()
+    first = reliable_order(2.0)
+    assert reliable_order(2.0) == first
+    info = reliable_order.cache_info()
+    assert (info.hits, info.misses) == (1, 1)
+
+
 # ----------------------------------------------------------------------------
 # Distance estimator
 # ----------------------------------------------------------------------------
@@ -180,6 +188,32 @@ def test_a1_distance_decreases_with_order():
 def test_a1_distance_doubling_growth_cannot_increase():
     p = SuperoscParams(2.0, 1, 1, 8)
     assert a1_distance(p, 2.0, 6.0) <= a1_distance(p, 2.0, 3.0)
+
+
+def _a1_distance_by_eval_datum(params, radius, growth, samples=6):
+    """a1_distance as first written: F_n through ``eval_datum`` on the full
+    polydisc grid, one exponent per point and atom."""
+    seq = superosc_sequence(params)
+    phases = np.exp(2j * math.pi * np.arange(8) / 8.0)
+    shells = radius * np.arange(1, samples + 1) / samples
+    axis = np.concatenate([[0.0 + 0.0j], (shells[:, None] * phases[None, :]).ravel()])
+    z1 = axis[:, None] * np.ones_like(axis)[None, :]
+    z2 = np.ones_like(axis)[:, None] * axis[None, :]
+    a1, a2 = params.a_vec
+    gap = np.abs(eval_datum(seq, z1, z2) - np.exp(1j * (a1 * z1 + a2 * z2)))
+    return float((gap * np.exp(-growth * np.sqrt(np.abs(z1) ** 2 + np.abs(z2) ** 2))).max())
+
+
+@pytest.mark.parametrize("p1, p2", [(1, 1), (2, 1), (1, 3)])
+def test_a1_distance_matches_eval_datum_oracle(p1, p2):
+    # at the experiment's radius; on smaller polydiscs the supremum sits
+    # where F_n's own cancellation error (about 12 digits at n = 40, a = 2)
+    # sets how far any two evaluations can agree
+    for n in (1, 4, 8, 12, 16, 24, 32, 40):
+        params = SuperoscParams(2.0, p1, p2, n)
+        growth = max(SQRT2, math.hypot(*params.a_vec))
+        got = a1_distance(params, 4.0, growth)
+        assert got == pytest.approx(_a1_distance_by_eval_datum(params, 4.0, growth), rel=1e-9)
 
 
 def test_a1_distance_growth_guard():
