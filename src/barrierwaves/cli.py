@@ -16,9 +16,12 @@ flag name with ``_`` for ``-`` (``plane_wave = 0.5,0.5`` stands for
 checks; keys that only other subcommands take are ignored.  Exit codes:
 0 success, 1 runtime failure, 2 usage error.  Output files are written
 through a temporary sibling and renamed, so failed runs leave nothing
-behind.  Grid rows are processed in a thread pool; per-point arithmetic
-is identical regardless of worker count, so repeated runs are
-byte-identical for any ``--threads`` value.
+behind.  Grid rows are processed in a thread pool.  With ``--method
+quadrature`` every point of the grid shares one radial cutoff (that of its
+largest radius) and one node set per ladder level, each level built once,
+under a lock, by whichever thread first needs it.  Per-point arithmetic is
+identical regardless of worker count, so repeated runs are byte-identical
+for any ``--threads`` value.
 """
 
 from __future__ import annotations
@@ -26,9 +29,11 @@ from __future__ import annotations
 import argparse
 import cmath
 import dataclasses
+import functools
 import math
 import os
 import sys
+import threading
 import warnings
 from concurrent.futures import ThreadPoolExecutor
 
@@ -42,6 +47,7 @@ from .evolve import (
     QuadratureSpec,
     TailBoundUnsatisfiable,
     TaylorField,
+    _FresnelGrid,
     growth_envelope,
     psi_fresnel,
 )
@@ -298,37 +304,64 @@ def _merge_dash_values(argv):
     return merged
 
 
+@functools.cache
+def _parser():
+    """The command-line parser and its subparsers, built on first use."""
+    return _build_parser()
+
+
+# parse_config switches the selected subparser's exit_on_error off while it
+# reads a config file; callers in other threads must not see that
+_PARSER_LOCK = threading.Lock()
+
+
+def _command_args(argv):
+    """The tokens after the subcommand name of a parsed command line.
+
+    Before the name only ``--config FILE`` (or ``--config=FILE``) and its
+    abbreviations can stand.
+    """
+    i = 0
+    while argv[i].startswith("-"):
+        i += 1 if "=" in argv[i] else 2
+    return argv[i + 1:]
+
+
 def parse_config(argv, file=None) -> argparse.Namespace:
     """Parse flags plus optional ``--config`` file; flags win over file values.
 
     ``file`` supplies a configuration path when no ``--config`` flag is
     present.  The file's lines are parsed as the selected subcommand's own
-    flags (a bad value is a usage error naming ``path:line``) and installed
-    as that parser's defaults, and the command line is parsed again, so
-    anything given explicitly keeps precedence over the file.
-    ``usage_error`` on the result reports a usage error against the
-    selected subcommand.
+    flags (a bad value is a usage error naming ``path:line``) into a
+    namespace that starts from the subcommand's defaults, and the command
+    line is parsed again on top of it, so anything given explicitly keeps
+    precedence over the file.  The parser is built once per process and
+    keeps no state from one call to the next.  ``usage_error`` on the
+    result reports a usage error against the selected subcommand.
     """
     argv = _merge_dash_values(list(argv))
-    parser, subparsers = _build_parser()
-    cfg = parser.parse_args(argv)
-    if cfg.command is None:
-        parser.error("a command is required (validate, field, coeffs, supershift, greens)")
-    cfg_file = cfg.config or file
-    if cfg_file:
-        sub = subparsers[cfg.command]
-        values = argparse.Namespace()
-        # one line at a time, a bad value raising instead of exiting, so that
-        # its message can name the file and line
-        sub.exit_on_error = False
-        for lineno, flag in _config_flags(cfg_file, parser, subparsers, cfg.command):
-            try:
-                sub.parse_args([flag], namespace=values)
-            except argparse.ArgumentError as exc:
-                sub.error(f"{cfg_file}:{lineno}: {exc}")
-        sub.exit_on_error = True
-        sub.set_defaults(**vars(values))
+    parser, subparsers = _parser()
+    with _PARSER_LOCK:
         cfg = parser.parse_args(argv)
+        if cfg.command is None:
+            parser.error("a command is required (validate, field, coeffs, supershift, greens)")
+        cfg_file = cfg.config or file
+        if cfg_file:
+            sub = subparsers[cfg.command]
+            values = argparse.Namespace(command=cfg.command, config=cfg.config)
+            # one line at a time, a bad value raising instead of exiting, so
+            # that its message can name the file and line
+            sub.exit_on_error = False
+            try:
+                for lineno, flag in _config_flags(cfg_file, parser, subparsers, cfg.command):
+                    try:
+                        sub.parse_args([flag], namespace=values)
+                    except argparse.ArgumentError as exc:
+                        sub.error(f"{cfg_file}:{lineno}: {exc}")
+            finally:
+                sub.exit_on_error = True
+            # a namespace attribute that is already set takes no default
+            cfg = sub.parse_args(_command_args(argv), namespace=values)
     if cfg.command != "validate" and cfg.t is None:
         cfg.usage_error("--t is required")
     return cfg
@@ -438,15 +471,6 @@ def run_field(cfg, parser_error) -> int:
         parser_error("field needs --out and/or --pgm")
     kind, t = cfg.kind, cfg.t
 
-    def value_at(x1: float, x2: float):
-        p = CartesianPoint(x1, x2)
-        if on_barrier(p):
-            return None
-        pol = to_polar(p)
-        if cfg.method == "operator":
-            return _operator_value(kind, t, pol, F, spec)
-        return psi_fresnel(kind, t, pol, F, spec).value
-
     if cfg.grid is not None:
         (lo1, hi1, n1), (lo2, hi2, n2) = cfg.grid
         x1s = np.linspace(lo1, hi1, n1)
@@ -455,15 +479,34 @@ def run_field(cfg, parser_error) -> int:
         from .geometry import to_cartesian
         c = to_cartesian(cfg.x)
         x1s, x2s = np.array([c.x1]), np.array([c.x2])
+    # polar points in grid order, None on the barrier
+    polar_rows = []
+    for x2 in x2s:
+        cart = [CartesianPoint(float(x1), float(x2)) for x1 in x1s]
+        polar_rows.append([None if on_barrier(p) else to_polar(p) for p in cart])
+    radii = [pol.r for row in polar_rows for pol in row if pol is not None]
 
-    def compute_row(x2: float):
-        return [value_at(float(x1), float(x2)) for x1 in x1s]
+    grid = None
+
+    def value_at(pol):
+        if pol is None:
+            return None
+        if cfg.method == "operator":
+            return _operator_value(kind, t, pol, F, spec)
+        return psi_fresnel(kind, t, pol, F, spec, grid=grid).value
+
+    def compute_row(row):
+        return [value_at(pol) for pol in row]
 
     try:
+        if cfg.method == "quadrature" and radii:
+            # one radial cutoff and one node set for every point of the grid;
+            # the rows' threads share its levels
+            grid = _FresnelGrid(t, F, spec, max(radii))
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", TruncationInsufficient)
             with ThreadPoolExecutor(max_workers=cfg.threads) as pool:
-                grid_rows = list(pool.map(compute_row, [float(v) for v in x2s]))
+                grid_rows = list(pool.map(compute_row, polar_rows))
     except (NonConvergence, TailBoundUnsatisfiable, ArithmeticError) as exc:
         print(f"field evaluation failed: {exc}", file=sys.stderr)
         return 1

@@ -44,12 +44,23 @@ level that agrees with the level below to within ``tol`` is returned with
 that difference as its error estimate, floored at the rounding error
 eps * sum |terms| of the level's own sum.  Each level is the error estimate
 of the next, so no node is evaluated beyond the first converged level.
+
+Only the kernel depends on the evaluation point x: the cutoff, the nodes,
+the tensor weights and the datum at the nodes depend on t, F and the spec
+alone, apart from the cutoff's growth with r.  A batch of points (a
+``field`` grid) therefore takes one cutoff, at its largest r, which
+bounds the tail of every point of the batch, and builds each ladder level
+it reaches once, with the datum already multiplied by the weights
+(``_FresnelGrid``).  A point then costs one kernel grid and one
+product-sum per level, and still stops at its own level.
 """
 
 from __future__ import annotations
 
 import functools
 import math
+import threading
+from collections.abc import Sequence
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -359,18 +370,6 @@ def _polar_rule(R: float, n_rho: int, n_theta: int, order: int, alpha: float = 0
     return rho, z, 2.0 * u * wu * rho, th, wth
 
 
-def _quad_value(kind, t, x, F, alpha, R, n_rho, n_theta, order):
-    """One tensor quadrature pass at the given node counts: (value, sum of |terms|)."""
-    _, z, w_rho, th, wth = _polar_rule(R, n_rho, n_theta, order, alpha)
-    G = _kernel_grid(t, x, z[:, None], th[None, :])
-    z1 = z[:, None] * np.cos(th)[None, :]
-    z2 = z[:, None] * np.sin(th)[None, :]
-    w2d = w_rho[:, None] * wth[None, :]
-    phase = complex(math.cos(2.0 * alpha), math.sin(2.0 * alpha))
-    value, magnitude = _paired_sum(kind, G, F, z1, z2, w2d)
-    return phase * value, magnitude
-
-
 def _node_ladder(spec: QuadratureSpec) -> list[tuple[int, int]]:
     """(n_rho, n_theta) node counts of the refinement ladder, coarsest first.
 
@@ -390,58 +389,143 @@ def _node_ladder(spec: QuadratureSpec) -> list[tuple[int, int]]:
     return [(p_rho * order, p_theta * order) for p_rho, p_theta in reversed(panels)]
 
 
-def psi_fresnel(kind: BoundaryKind, t: float, x: PolarPoint, F: InitialDatum,
-                spec: QuadratureSpec = QuadratureSpec()) -> WaveSample:
-    """Solution value at (t, x) by rotated-contour quadrature.
+class _FresnelGrid:
+    """Rotated-contour quadrature shared by every point of one grid.
 
-    Evaluates the tensor rules of the node ladder (``spec.n_rho`` x
-    ``spec.n_theta`` at the finest level, up to three halvings below) from
-    the coarsest up, all on one radial cutoff, and returns the first level
-    whose difference to the level below is at most ``spec.tol``; that
-    difference, or eps times the sum of the moduli of the level's terms
-    (the rounding of the sum) when that is larger, is reported as
-    ``est_error``.  The finest level is accepted
-    up to 10 * spec.tol.
+    All points integrate the same datum at the same t, so they share one
+    radial cutoff, ``rho_max`` at the largest radius ``r_max`` of the grid:
+    the tail majorant grows with r, so that cutoff bounds every point's
+    tail.  They share each ladder level's node set too: its rotated radii,
+    its angles and the datum at (+-z1, z2) times the tensor weights are
+    built on first use, once, under a lock, so threads that share the grid
+    read the same read-only arrays.  Per point and level only the kernel
+    and one product-sum remain.
 
     Raises
     ------
-    NonConvergence
-        If the finest level differs from the level below by more than
-        10 * spec.tol, or the difference is not a number.
     TailBoundUnsatisfiable
         Propagated from the radial cutoff search.
     ValueError
         If t is not finite and positive, or the datum's growth rate is not
         finite.
     """
-    _check_time(t)
-    A, B, degree = growth_envelope(F)
-    B_eff = effective_growth_rate(B, degree, t, spec.alpha)
-    tail_spec = spec if A <= 1.0 else replace(spec, tol=spec.tol / A)
-    R = rho_max(tail_spec, t, x.r, B_eff)
-    levels = _node_ladder(spec)
-    # an overflowing kernel leaves a non-finite estimate, which is rejected below
-    with np.errstate(over="ignore", invalid="ignore"):
-        coarse, _ = _quad_value(kind, t, x, F, spec.alpha, R, *levels[0], spec.panel_order)
-        for n_rho, n_theta in levels[1:]:
-            fine, magnitude = _quad_value(kind, t, x, F, spec.alpha, R, n_rho, n_theta,
-                                          spec.panel_order)
-            try:
-                # a difference below the rounding of the sum itself says nothing
-                est = max(abs(fine - coarse), _EPS * magnitude)
-            except OverflowError:
-                est = math.inf
-            if est <= spec.tol:
-                break
-            coarse = fine
-    # a NaN estimate fails this test too, so no NaN leaves as converged
-    if not est <= 10.0 * spec.tol:
-        raise NonConvergence(
-            f"refinement difference {est:.3e} exceeds 10*tol={10 * spec.tol:.3e} "
-            f"(n_rho={n_rho}, n_theta={n_theta})"
-        )
-    return WaveSample(value=fine, est_error=est, t=t, x=x, kind=kind,
-                      rho_max=R, n_rho=n_rho, n_theta=n_theta)
+
+    def __init__(self, t: float, F: InitialDatum, spec: QuadratureSpec, r_max: float):
+        _check_time(t)
+        A, B, degree = growth_envelope(F)
+        B_eff = effective_growth_rate(B, degree, t, spec.alpha)
+        tail_spec = spec if A <= 1.0 else replace(spec, tol=spec.tol / A)
+        self.t, self.F, self.spec, self.r_max = t, F, spec, r_max
+        self.rho_max = rho_max(tail_spec, t, r_max, B_eff)
+        self.ladder = _node_ladder(spec)
+        self._phase = complex(math.cos(2.0 * spec.alpha), math.sin(2.0 * spec.alpha))
+        self._levels = [None] * len(self.ladder)
+        self._lock = threading.Lock()
+
+    def level(self, i: int):
+        """(z column, theta row, weighted datum pair) of ladder level ``i``."""
+        level = self._levels[i]
+        if level is None:
+            with self._lock:
+                level = self._levels[i]
+                if level is None:
+                    level = self._levels[i] = self._build(*self.ladder[i])
+        return level
+
+    def _build(self, n_rho: int, n_theta: int):
+        spec = self.spec
+        _, z, w_rho, th, wth = _polar_rule(self.rho_max, n_rho, n_theta, spec.panel_order, spec.alpha)
+        z, th = z[:, None], th[None, :]
+        datum = eval_datum(self.F, np.multiply.outer((1.0, -1.0), z * np.cos(th)), z * np.sin(th))
+        datum *= w_rho[:, None] * wth[None, :]
+        datum.setflags(write=False)
+        return z, th, datum
+
+    def quad_value(self, kind: BoundaryKind, x: PolarPoint, i: int) -> tuple[complex, float]:
+        """One tensor quadrature pass on ladder level ``i``: (value, sum of |terms|).
+
+        The sum is of w * (D F(z1, z2) + sign * I F(-z1, z2)) over the
+        level's nodes, (D, I) the kernel pair of ``greens._kernel_grid``.
+        """
+        z, th, datum = self.level(i)
+        terms = _kernel_grid(self.t, x, z, th)
+        terms *= datum
+        direct, image = terms.sum(axis=(1, 2))
+        return self._phase * complex(direct + kind.sign * image), float(np.abs(terms).sum())
+
+    def sample(self, kind: BoundaryKind, x: PolarPoint) -> WaveSample:
+        """Walk the ladder at ``x`` up to its first converged level."""
+        if not x.r <= self.r_max:
+            raise ValueError(f"point radius {x.r} exceeds the grid's largest radius {self.r_max}")
+        tol = self.spec.tol
+        # an overflowing kernel leaves a non-finite estimate, which is rejected below
+        with np.errstate(over="ignore", invalid="ignore"):
+            coarse, _ = self.quad_value(kind, x, 0)
+            for i in range(1, len(self.ladder)):
+                fine, magnitude = self.quad_value(kind, x, i)
+                try:
+                    # a difference below the rounding of the sum itself says nothing
+                    est = max(abs(fine - coarse), _EPS * magnitude)
+                except OverflowError:
+                    est = math.inf
+                if est <= tol:
+                    break
+                coarse = fine
+        n_rho, n_theta = self.ladder[i]
+        # a NaN estimate fails this test too, so no NaN leaves as converged
+        if not est <= 10.0 * tol:
+            raise NonConvergence(
+                f"refinement difference {est:.3e} exceeds 10*tol={10 * tol:.3e} "
+                f"(n_rho={n_rho}, n_theta={n_theta})"
+            )
+        return WaveSample(value=fine, est_error=est, t=self.t, x=x, kind=kind,
+                          rho_max=self.rho_max, n_rho=n_rho, n_theta=n_theta)
+
+
+def psi_fresnel(kind: BoundaryKind, t: float, x: PolarPoint | Sequence[PolarPoint],
+                F: InitialDatum, spec: QuadratureSpec = QuadratureSpec(), *,
+                grid: _FresnelGrid | None = None) -> WaveSample | list[WaveSample]:
+    """Solution value at (t, x) by rotated-contour quadrature.
+
+    ``x`` is one point, which gives one ``WaveSample``, or a sequence of
+    points, which gives a list of them in the same order.  The points of a
+    sequence share one radial cutoff, the one for the largest of their
+    radii (it bounds the tail at every smaller radius too), and each
+    ladder level's nodes and datum values are computed once for all of
+    them; ``WaveSample.rho_max`` reports that shared cutoff.  ``grid``
+    passes such a shared node set, built by ``_FresnelGrid`` for the same
+    t, datum and spec and a radius at least that of every point, to calls
+    that each evaluate one point of it.
+
+    At each point the tensor rules of the node ladder (``spec.n_rho`` x
+    ``spec.n_theta`` at the finest level, up to three halvings below) are
+    evaluated from the coarsest up, all on one radial cutoff, and the first
+    level whose difference to the level below is at most ``spec.tol`` is
+    returned; that difference, or eps times the sum of the moduli of the
+    level's terms (the rounding of the sum) when that is larger, is
+    reported as ``est_error``.  Each point stops at its own level.  The
+    finest level is accepted up to 10 * spec.tol.
+
+    Raises
+    ------
+    NonConvergence
+        If at some point the finest level differs from the level below by
+        more than 10 * spec.tol, or the difference is not a number.
+    TailBoundUnsatisfiable
+        Propagated from the radial cutoff search.
+    ValueError
+        If t is not finite and positive, the datum's growth rate is not
+        finite, or ``grid`` was built for another t, datum or spec or a
+        smaller radius.
+    """
+    single = isinstance(x, PolarPoint)
+    points = [x] if single else list(x)
+    if grid is None:
+        grid = _FresnelGrid(t, F, spec, max((p.r for p in points), default=0.0))
+    elif (grid.t, grid.F, grid.spec) != (t, F, spec):
+        raise ValueError("grid was built for another time, datum or quadrature spec")
+    samples = [grid.sample(kind, p) for p in points]
+    return samples[0] if single else samples
 
 
 @dataclass(frozen=True)

@@ -168,6 +168,25 @@ def test_config_key_of_another_command_is_ignored(tmp_path):
     assert len(_read_csv(out)[1]) == 1
 
 
+def test_config_values_do_not_outlive_their_call(tmp_path, capsys):
+    conf = tmp_path / "run.conf"
+    conf.write_text("kind = NEUMANN\nt = 1.0\nplane_wave = 0.5,0.5\nthreads = 3\n")
+    out = str(tmp_path / "o.csv")
+    first = parse_config(["field", "--config", str(conf), "--x", "1,1.1", "--out", out])
+    assert (first.kind, first.t, first.threads) == (BoundaryKind.NEUMANN, 1.0, 3)
+    second = parse_config(["field", "--t", "2.0", "--x", "1,1.1", "--out", out])
+    assert second.kind is BoundaryKind.DIRICHLET
+    assert (second.t, second.plane_wave, second.threads, second.config) == (2.0, None, 1, None)
+    # a bad config line leaves the parser exiting on a bad command-line value
+    conf.write_text("threads = two\n")
+    for argv in (["field", "--config", str(conf), "--t", "1", "--x", "1,1.1"],
+                 ["field", "--t", "1", "--x", "1,1.1", "--threads", "two"]):
+        with pytest.raises(SystemExit) as exc:
+            parse_config(argv)
+        assert exc.value.code == 2
+    assert f"{conf}:1: argument --threads: invalid" in capsys.readouterr().err
+
+
 def test_field_requires_exactly_one_location(tmp_path):
     with pytest.raises(SystemExit):
         main(["field", "--t", "1", "--plane-wave", "0,0",
@@ -295,14 +314,23 @@ def test_field_operator_matches_quadrature(tmp_path):
 
 
 def test_field_thread_count_does_not_change_bytes(tmp_path):
-    base = ["field", "--kind", "DIRICHLET", "--t", "0.8",
-            "--grid", "-1.5:1.5:5,-1.5:1.5:5", "--plane-wave", "0.4,-0.3"]
-    a_csv, a_pgm = tmp_path / "a.csv", tmp_path / "a.pgm"
-    b_csv, b_pgm = tmp_path / "b.csv", tmp_path / "b.pgm"
-    assert main([*base, "--threads", "1", "--out", str(a_csv), "--pgm", str(a_pgm)]) == 0
-    assert main([*base, "--threads", "4", "--out", str(b_csv), "--pgm", str(b_pgm)]) == 0
-    assert a_csv.read_bytes() == b_csv.read_bytes()
-    assert a_pgm.read_bytes() == b_pgm.read_bytes()
+    # at t = 0.6 the quadrature grid's points stop at 48x48, 96x80 and
+    # 192x160, so the threads share every level of the node ladder
+    cases = [
+        (["--plane-wave", "0.4,-0.3"], "quadrature", "-3:3:5,-3:3:5"),
+        (["--taylor", "0.5 1; -0.7"], "quadrature", "-3:3:5,-3:3:5"),
+        (["--plane-wave", "0.4,-0.3"], "operator", "-3:3:3,-3:3:3"),
+    ]
+    for i, (datum, method, grid) in enumerate(cases):
+        base = ["field", "--kind", "DIRICHLET", "--t", "0.6", "--grid", grid, *datum,
+                "--method", method]
+        outputs = []
+        for threads in (1, 2, 3):
+            csv_path, pgm_path = tmp_path / f"{i}-{threads}.csv", tmp_path / f"{i}-{threads}.pgm"
+            assert main([*base, "--threads", str(threads), "--out", str(csv_path),
+                         "--pgm", str(pgm_path)]) == 0
+            outputs.append((csv_path.read_bytes(), pgm_path.read_bytes()))
+        assert outputs[1] == outputs[0] and outputs[2] == outputs[0]
 
 
 def test_field_single_point(tmp_path):

@@ -1,12 +1,15 @@
 """Tests for the rotated-contour evaluation of the time-dependent solution."""
 
 import math
+import sys
 import warnings
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
 from numpy.polynomial.legendre import leggauss
 
+import barrierwaves.evolve as evolve_module
 from barrierwaves.evolve import (
     RHO_MAX_CAP,
     DiscreteSuperposition,
@@ -18,8 +21,8 @@ from barrierwaves.evolve import (
     WaveSample,
     _gauss_panels,
     _gauss_rule,
+    _FresnelGrid,
     _node_ladder,
-    _quad_value,
     effective_growth_rate,
     eval_datum,
     growth_envelope,
@@ -27,7 +30,7 @@ from barrierwaves.evolve import (
     psi_regularized_oracle,
     rho_max,
 )
-from barrierwaves.geometry import PHI_MAX, PHI_MIN, CartesianPoint, PolarPoint, to_polar
+from barrierwaves.geometry import PHI_MAX, PHI_MIN, CartesianPoint, PolarPoint, on_barrier, to_polar
 from barrierwaves.greens import BoundaryKind
 from barrierwaves.operator import build_table
 
@@ -281,9 +284,10 @@ def test_finest_level_reproduces_fixed_pair():
     kind, t, x, F = BoundaryKind.DIRICHLET, 0.84, PolarPoint(3.15, 2.46), PlaneWave(-0.25, -1.19)
     s = psi_fresnel(kind, t, x, F, SPEC)
     assert (s.n_rho, s.n_theta) == (SPEC.n_rho, SPEC.n_theta)
-    fine, _ = _quad_value(kind, t, x, F, SPEC.alpha, s.rho_max, SPEC.n_rho, SPEC.n_theta, SPEC.panel_order)
-    coarse, _ = _quad_value(kind, t, x, F, SPEC.alpha, s.rho_max,
-                            SPEC.n_rho // 2, SPEC.n_theta // 2, SPEC.panel_order)
+    grid = _FresnelGrid(t, F, SPEC, x.r)
+    assert grid.ladder[-2] == (SPEC.n_rho // 2, SPEC.n_theta // 2)
+    fine, _ = grid.quad_value(kind, x, -1)
+    coarse, _ = grid.quad_value(kind, x, -2)
     assert s.value == fine
     assert s.est_error == abs(fine - coarse)
 
@@ -312,8 +316,7 @@ def test_ladder_agrees_with_finest_level_within_estimate():
     for kind, t, x, F in _seeded_ladder_points():
         s = psi_fresnel(kind, t, x, F, SPEC)
         levels.add(s.n_rho)
-        finest, _ = _quad_value(kind, t, x, F, SPEC.alpha, s.rho_max,
-                                SPEC.n_rho, SPEC.n_theta, SPEC.panel_order)
+        finest, _ = _FresnelGrid(t, F, SPEC, x.r).quad_value(kind, x, -1)
         assert abs(s.value - finest) <= s.est_error <= 10 * SPEC.tol
     # the seeded points stop at every level above the coarsest
     assert levels == {48, 96, 192}
@@ -337,9 +340,86 @@ def test_corner_sweep_converges_within_estimate():
         kn, ang = rng.uniform(0.0, 1.5), rng.uniform(0.0, 2 * math.pi)
         F = PlaneWave(kn * math.cos(ang), kn * math.sin(ang))
         s = psi_fresnel(kind, t, x, F, SPEC)
-        finest, _ = _quad_value(kind, t, x, F, SPEC.alpha, s.rho_max,
-                                SPEC.n_rho, SPEC.n_theta, SPEC.panel_order)
+        finest, _ = _FresnelGrid(t, F, SPEC, x.r).quad_value(kind, x, -1)
         assert abs(s.value - finest) <= s.est_error <= 10 * SPEC.tol
+
+
+def _grid_points():
+    """Off-barrier points of a 5x5 grid on [-3, 3]^2; at t = 0.6 they stop
+    at 48x48, 96x80 and 192x160."""
+    grid = (CartesianPoint(x1, x2) for x2 in np.linspace(-3, 3, 5) for x1 in np.linspace(-3, 3, 5))
+    return [to_polar(p) for p in grid if not on_barrier(p)]
+
+
+def _counting_eval_datum(monkeypatch):
+    """Record the shape of every ``eval_datum`` call the quadrature makes."""
+    calls = []
+    original = evolve_module.eval_datum
+
+    def counted(F, z1, z2):
+        calls.append(np.shape(z2))
+        return original(F, z1, z2)
+
+    monkeypatch.setattr(evolve_module, "eval_datum", counted)
+    return calls
+
+
+@pytest.mark.parametrize("kind, F", [
+    (BoundaryKind.DIRICHLET, PlaneWave(0.4, -0.3)),
+    (BoundaryKind.NEUMANN, TaylorField([[0.5, 1.0], [-0.7, 0.0]])),
+])
+def test_grid_call_agrees_with_single_point_calls(kind, F):
+    t, points = 0.6, _grid_points()
+    grid = psi_fresnel(kind, t, points, F, SPEC)
+    assert [s.x for s in grid] == points
+    assert {s.n_rho for s in grid} == {48, 96, 192}
+    R = max(s.rho_max for s in grid)
+    for s in grid:
+        single = psi_fresnel(kind, t, s.x, F, SPEC)
+        assert abs(s.value - single.value) <= s.est_error + single.est_error
+        # one cutoff for the grid, the one of its largest radius, which is
+        # at least every point's own
+        assert s.rho_max == R >= single.rho_max
+    assert R == psi_fresnel(kind, t, max(points, key=lambda p: p.r), F, SPEC).rho_max
+
+
+def test_grid_builds_each_level_once(monkeypatch):
+    calls = _counting_eval_datum(monkeypatch)
+    samples = psi_fresnel(BoundaryKind.DIRICHLET, 0.6, _grid_points(), PlaneWave(0.4, -0.3), SPEC)
+    # every level up to the finest one any point reached, once for the grid
+    assert calls == [(n_rho, n_theta) for n_rho, n_theta in _node_ladder(SPEC)]
+    assert len(samples) > 4 * len(calls)
+
+
+def test_shared_grid_levels_are_built_once_under_concurrency(monkeypatch):
+    kind, t, F = BoundaryKind.NEUMANN, 0.6, PlaneWave(0.4, -0.3)
+    points = _grid_points()
+    expected = psi_fresnel(kind, t, points, F, SPEC)
+    calls = _counting_eval_datum(monkeypatch)
+    grid = _FresnelGrid(t, F, SPEC, max(p.r for p in points))
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=8) as pool:
+            futures = [pool.submit(psi_fresnel, kind, t, p, F, SPEC, grid=grid)
+                       for p in points * 3]
+            got = [f.result(timeout=120) for f in futures]
+    finally:
+        sys.setswitchinterval(interval)
+    assert len(calls) == len(_node_ladder(SPEC))
+    assert got == expected * 3
+
+
+def test_grid_rejects_a_point_or_datum_it_was_not_built_for():
+    t, F = 0.6, PlaneWave(0.4, -0.3)
+    grid = _FresnelGrid(t, F, SPEC, 1.0)
+    with pytest.raises(ValueError):
+        psi_fresnel(BoundaryKind.DIRICHLET, t, PolarPoint(1.5, 0.3), F, SPEC, grid=grid)
+    with pytest.raises(ValueError):
+        psi_fresnel(BoundaryKind.DIRICHLET, t, X, PlaneWave(0.4, 0.3), SPEC, grid=grid)
+    with pytest.raises(ValueError):
+        psi_fresnel(BoundaryKind.DIRICHLET, 0.7, X, F, SPEC, grid=grid)
+    assert psi_fresnel(BoundaryKind.DIRICHLET, t, [], F, SPEC) == []
 
 
 def test_estimate_is_floored_at_the_rounding_of_the_sum():
@@ -348,10 +428,9 @@ def test_estimate_is_floored_at_the_rounding_of_the_sum():
     kind, t, x = BoundaryKind.DIRICHLET, 0.769, PolarPoint(0.1147, -1.5016)
     F = TaylorField(np.array([[0.824]]))
     s = psi_fresnel(kind, t, x, F, SPEC)
-    finest, _ = _quad_value(kind, t, x, F, SPEC.alpha, s.rho_max,
-                            SPEC.n_rho, SPEC.n_theta, SPEC.panel_order)
-    _, magnitude = _quad_value(kind, t, x, F, SPEC.alpha, s.rho_max,
-                               s.n_rho, s.n_theta, SPEC.panel_order)
+    grid = _FresnelGrid(t, F, SPEC, x.r)
+    finest, _ = grid.quad_value(kind, x, -1)
+    _, magnitude = grid.quad_value(kind, x, grid.ladder.index((s.n_rho, s.n_theta)))
     assert s.est_error >= np.finfo(float).eps * magnitude
     assert abs(s.value - finest) <= s.est_error <= 10 * SPEC.tol
 

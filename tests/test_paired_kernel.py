@@ -17,9 +17,9 @@ from barrierwaves.evolve import (
     PlaneWave,
     QuadratureSpec,
     TaylorField,
+    _FresnelGrid,
     _gauss_panels,
     _node_ladder,
-    _quad_value,
     effective_growth_rate,
     eval_datum,
     psi_fresnel,
@@ -98,9 +98,9 @@ def test_quad_value_matches_two_term_reference(kind, level):
     n_rho, n_theta = _node_ladder(SPEC)[level]
     for _ in range(5):
         t, x, F = _field_point(rng)
-        R = psi_fresnel(kind, t, x, F, SPEC).rho_max
-        terms = _two_term_terms(kind, t, x, F, R, n_rho, n_theta)
-        value, _ = _quad_value(kind, t, x, F, SPEC.alpha, R, n_rho, n_theta, SPEC.panel_order)
+        grid = _FresnelGrid(t, F, SPEC, x.r)
+        terms = _two_term_terms(kind, t, x, F, grid.rho_max, n_rho, n_theta)
+        value, _ = grid.quad_value(kind, x, level)
         assert abs(value - terms.sum()) <= 1e-13 * np.abs(terms).sum()
 
 

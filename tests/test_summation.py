@@ -1,4 +1,4 @@
-"""Tests for compensated (Neumaier) summation helpers."""
+"""Tests for compensated (TwoSum) summation."""
 
 import math
 
