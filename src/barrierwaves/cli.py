@@ -49,7 +49,7 @@ from .evolve import (
     TaylorField,
     _FresnelGrid,
     growth_envelope,
-    psi_fresnel,
+    psi_fresnel,  # noqa: F401  public as barrierwaves.cli.psi_fresnel; bench/tracing.py wraps it
 )
 from .operator import (
     N_CAP,
@@ -493,7 +493,7 @@ def run_field(cfg, parser_error) -> int:
             return None
         if cfg.method == "operator":
             return _operator_value(kind, t, pol, F, spec)
-        return psi_fresnel(kind, t, pol, F, spec, grid=grid).value
+        return grid.sample(kind, pol).value
 
     def compute_row(row):
         return [value_at(pol) for pol in row]

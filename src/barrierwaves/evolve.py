@@ -454,9 +454,8 @@ class _FresnelGrid:
         return self._phase * complex(direct + kind.sign * image), float(np.abs(terms).sum())
 
     def sample(self, kind: BoundaryKind, x: PolarPoint) -> WaveSample:
-        """Walk the ladder at ``x`` up to its first converged level."""
-        if not x.r <= self.r_max:
-            raise ValueError(f"point radius {x.r} exceeds the grid's largest radius {self.r_max}")
+        """Walk the ladder at ``x``, whose radius is at most ``r_max``, up to
+        its first converged level."""
         tol = self.spec.tol
         # an overflowing kernel leaves a non-finite estimate, which is rejected below
         with np.errstate(over="ignore", invalid="ignore"):
@@ -483,8 +482,8 @@ class _FresnelGrid:
 
 
 def psi_fresnel(kind: BoundaryKind, t: float, x: PolarPoint | Sequence[PolarPoint],
-                F: InitialDatum, spec: QuadratureSpec = QuadratureSpec(), *,
-                grid: _FresnelGrid | None = None) -> WaveSample | list[WaveSample]:
+                F: InitialDatum, spec: QuadratureSpec = QuadratureSpec()
+                ) -> WaveSample | list[WaveSample]:
     """Solution value at (t, x) by rotated-contour quadrature.
 
     ``x`` is one point, which gives one ``WaveSample``, or a sequence of
@@ -492,10 +491,7 @@ def psi_fresnel(kind: BoundaryKind, t: float, x: PolarPoint | Sequence[PolarPoin
     sequence share one radial cutoff, the one for the largest of their
     radii (it bounds the tail at every smaller radius too), and each
     ladder level's nodes and datum values are computed once for all of
-    them; ``WaveSample.rho_max`` reports that shared cutoff.  ``grid``
-    passes such a shared node set, built by ``_FresnelGrid`` for the same
-    t, datum and spec and a radius at least that of every point, to calls
-    that each evaluate one point of it.
+    them; ``WaveSample.rho_max`` reports that shared cutoff.
 
     At each point the tensor rules of the node ladder (``spec.n_rho`` x
     ``spec.n_theta`` at the finest level, up to three halvings below) are
@@ -514,16 +510,12 @@ def psi_fresnel(kind: BoundaryKind, t: float, x: PolarPoint | Sequence[PolarPoin
     TailBoundUnsatisfiable
         Propagated from the radial cutoff search.
     ValueError
-        If t is not finite and positive, the datum's growth rate is not
-        finite, or ``grid`` was built for another t, datum or spec or a
-        smaller radius.
+        If t is not finite and positive, or the datum's growth rate is not
+        finite.
     """
     single = isinstance(x, PolarPoint)
     points = [x] if single else list(x)
-    if grid is None:
-        grid = _FresnelGrid(t, F, spec, max((p.r for p in points), default=0.0))
-    elif (grid.t, grid.F, grid.spec) != (t, F, spec):
-        raise ValueError("grid was built for another time, datum or quadrature spec")
+    grid = _FresnelGrid(t, F, spec, max((p.r for p in points), default=0.0))
     samples = [grid.sample(kind, p) for p in points]
     return samples[0] if single else samples
 

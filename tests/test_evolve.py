@@ -376,7 +376,10 @@ def test_grid_call_agrees_with_single_point_calls(kind, F):
     R = max(s.rho_max for s in grid)
     for s in grid:
         single = psi_fresnel(kind, t, s.x, F, SPEC)
-        assert abs(s.value - single.value) <= s.est_error + single.est_error
+        # each value is within its refinement estimate plus its tail bound
+        # (at most tol by the choice of R) of the solution; est_error alone
+        # compares two levels on one R and does not see a change of R
+        assert abs(s.value - single.value) <= s.est_error + single.est_error + 2 * SPEC.tol
         # one cutoff for the grid, the one of its largest radius, which is
         # at least every point's own
         assert s.rho_max == R >= single.rho_max
@@ -401,8 +404,7 @@ def test_shared_grid_levels_are_built_once_under_concurrency(monkeypatch):
     sys.setswitchinterval(1e-6)
     try:
         with ThreadPoolExecutor(max_workers=8) as pool:
-            futures = [pool.submit(psi_fresnel, kind, t, p, F, SPEC, grid=grid)
-                       for p in points * 3]
+            futures = [pool.submit(grid.sample, kind, p) for p in points * 3]
             got = [f.result(timeout=120) for f in futures]
     finally:
         sys.setswitchinterval(interval)
@@ -410,16 +412,8 @@ def test_shared_grid_levels_are_built_once_under_concurrency(monkeypatch):
     assert got == expected * 3
 
 
-def test_grid_rejects_a_point_or_datum_it_was_not_built_for():
-    t, F = 0.6, PlaneWave(0.4, -0.3)
-    grid = _FresnelGrid(t, F, SPEC, 1.0)
-    with pytest.raises(ValueError):
-        psi_fresnel(BoundaryKind.DIRICHLET, t, PolarPoint(1.5, 0.3), F, SPEC, grid=grid)
-    with pytest.raises(ValueError):
-        psi_fresnel(BoundaryKind.DIRICHLET, t, X, PlaneWave(0.4, 0.3), SPEC, grid=grid)
-    with pytest.raises(ValueError):
-        psi_fresnel(BoundaryKind.DIRICHLET, 0.7, X, F, SPEC, grid=grid)
-    assert psi_fresnel(BoundaryKind.DIRICHLET, t, [], F, SPEC) == []
+def test_empty_point_sequence_gives_empty_list():
+    assert psi_fresnel(BoundaryKind.DIRICHLET, 0.6, [], PlaneWave(0.4, -0.3), SPEC) == []
 
 
 def test_estimate_is_floored_at_the_rounding_of_the_sum():
