@@ -500,7 +500,9 @@ def psi_fresnel(kind: BoundaryKind, t: float, x: PolarPoint | Sequence[PolarPoin
     returned; that difference, or eps times the sum of the moduli of the
     level's terms (the rounding of the sum) when that is larger, is
     reported as ``est_error``.  Each point stops at its own level.  The
-    finest level is accepted up to 10 * spec.tol.
+    finest level is accepted up to 10 * spec.tol.  ``est_error`` compares
+    two levels on one cutoff; the tail beyond the cutoff, at most
+    ``spec.tol``, comes on top of it.
 
     Raises
     ------
