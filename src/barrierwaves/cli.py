@@ -149,8 +149,6 @@ def _parse_taylor(text: str) -> TaylorField:
         arr = np.zeros((len(rows), width), dtype=complex)
         for i, r in enumerate(rows):
             arr[i, :len(r)] = r
-        if not np.isfinite(arr).all():
-            raise ValueError("coefficients must be finite")
         return TaylorField(arr)
     except ValueError as exc:
         raise argparse.ArgumentTypeError(f"bad polynomial spec {text!r}: {exc}")
@@ -217,15 +215,12 @@ def _build_parser():
     def add_quadrature_flags(p):
         p.add_argument("--alpha", type=float, help="contour rotation angle in (0, pi/2)")
         p.add_argument("--n-rho", type=int, dest="n_rho",
-                       help="radial node count, more than --panel-order; the finest "
+                       help="radial node count, more than 16; the finest "
                             "level of the node ladder for field --method quadrature")
         p.add_argument("--n-theta", type=int, dest="n_theta",
-                       help="angular node count, more than --panel-order; the finest "
+                       help="angular node count, more than 16; the finest "
                             "level of the node ladder for field --method quadrature")
         p.add_argument("--tol", type=float, help="quadrature tail tolerance")
-        p.add_argument("--panel-order", type=int, dest="panel_order")
-        p.add_argument("--rho-max", type=float, dest="fixed_rho_max", metavar="RHO_MAX",
-                       help="fixed radial cutoff (default: automatic tail bound)")
 
     p = subparsers["validate"] = sub.add_parser("validate", help="run the invariant suites")
     add_config_flag(p)

@@ -71,6 +71,8 @@ from .greens import _ENVELOPE_PREF, _ENVELOPE_RATE, BoundaryKind, _check_time, _
 
 RHO_MAX_CAP = 1.0e4
 _EPS = np.finfo(float).eps
+#: Gauss-Legendre nodes per panel of every quadrature rule
+_PANEL_ORDER = 16
 
 
 class TailBoundUnsatisfiable(ArithmeticError):
@@ -93,41 +95,30 @@ class QuadratureSpec:
     n_theta, n_rho : int
         Node counts of the finest rule in the angle and in the radial
         square-root variable (each rounded up to a whole number of
-        panels, and each above ``panel_order``, i.e. at least two panels).
+        16-node panels, and each above 16, i.e. at least two panels).
         ``psi_fresnel`` stops at a coarser level of its ladder once that
         level converges; ``build_table`` always returns this level and
         takes its estimate from the level below.
     tol : float
-        Target absolute accuracy; drives the radial cutoff and the
-        refinement check.
-    fixed_rho_max : float or None
-        Radial cutoff to use as given; ``None`` derives it from the tail
-        majorant (``rho_max``).
-    panel_order : int
-        Gauss-Legendre order per panel.
+        Target absolute accuracy; drives the refinement check and the
+        radial cutoff, which ``rho_max`` always derives from the tail bound.
     """
 
     alpha: float = 0.25 * math.pi
     n_theta: int = 160
     n_rho: int = 192
     tol: float = 1e-7
-    fixed_rho_max: float | None = None
-    panel_order: int = 16
 
     def __post_init__(self):
         if not 0.0 < self.alpha < 0.5 * math.pi:
             raise ValueError(f"alpha must lie in (0, pi/2), got {self.alpha}")
         if not self.tol > 0:
             raise ValueError(f"tol must be positive, got {self.tol}")
-        if self.fixed_rho_max is not None and not 0 < self.fixed_rho_max < math.inf:
-            raise ValueError(f"fixed_rho_max must be finite and positive, got {self.fixed_rho_max}")
-        if self.panel_order < 2:
-            raise ValueError("panel_order must be at least 2")
-        if self.n_theta <= self.panel_order or self.n_rho <= self.panel_order:
+        if self.n_theta <= _PANEL_ORDER or self.n_rho <= _PANEL_ORDER:
             # one panel has no coarser rule to estimate its error against
             raise ValueError(
-                f"n_rho and n_theta must exceed panel_order={self.panel_order} "
-                f"(at least two panels), got n_rho={self.n_rho}, n_theta={self.n_theta}")
+                f"n_rho and n_theta must exceed {_PANEL_ORDER} (at least two panels), "
+                f"got n_rho={self.n_rho}, n_theta={self.n_theta}")
 
 
 @dataclass(frozen=True)
@@ -142,22 +133,23 @@ class PlaneWave:
 class TaylorField:
     """Polynomial datum F(z) = sum f[n1][n2] z1^n1 z2^n2.
 
-    ``bound_a``/``bound_b`` declare the growth envelope A*exp(B|z|) used by
-    the radial truncation; the degree itself is handled separately, so
-    (sum |f|, 0) is always an admissible declaration.
+    Its growth envelope follows from the coefficients: |F(z)| is at most
+    sum |f| times a power of |z| of the degree, so (A, B) = (sum |f|, 0),
+    with A = 1 for the zero polynomial.
+
+    Raises
+    ------
+    ValueError
+        If a coefficient is not finite.
     """
 
     coeffs: np.ndarray
-    bound_a: float = 0.0
-    bound_b: float = 0.0
 
     def __post_init__(self):
         arr = np.atleast_2d(np.asarray(self.coeffs, dtype=complex))
+        if not np.isfinite(arr).all():
+            raise ValueError("Taylor coefficients must be finite")
         object.__setattr__(self, "coeffs", arr)
-        if self.bound_a == 0.0:
-            object.__setattr__(self, "bound_a", float(np.sum(np.abs(arr))) or 1.0)
-        if self.bound_b < 0:
-            raise ValueError("bound_b must be nonnegative")
 
     @property
     def degree(self) -> int:
@@ -171,12 +163,17 @@ class TaylorField:
 class DiscreteSuperposition:
     """F(z) = sum_j weights[j] * exp(1j*(k[j,0]*z1 + k[j,1]*z2)).
 
-    ``k0`` bounds the Euclidean length of every wavevector.
+    Its growth rate is the largest Euclidean length of a wavevector.
+
+    Raises
+    ------
+    ValueError
+        If the wavevectors are not of shape (len(weights), 2), or a weight
+        or wavevector component is not finite.
     """
 
     weights: np.ndarray
     wavevectors: np.ndarray
-    k0: float
 
     def __post_init__(self):
         w = np.asarray(self.weights, dtype=complex)
@@ -185,9 +182,8 @@ class DiscreteSuperposition:
         object.__setattr__(self, "wavevectors", k)
         if k.ndim != 2 or k.shape[1] != 2 or k.shape[0] != w.shape[0]:
             raise ValueError("wavevectors must have shape (len(weights), 2)")
-        norms = np.hypot(k[:, 0], k[:, 1])
-        if np.any(norms > self.k0 * (1 + 1e-12)):
-            raise ValueError("an atom exceeds the declared frequency bound k0")
+        if not (np.isfinite(w).all() and np.isfinite(k).all()):
+            raise ValueError("weights and wavevectors must be finite")
 
 
 InitialDatum = PlaneWave | TaylorField | DiscreteSuperposition
@@ -199,7 +195,10 @@ class WaveSample:
 
     ``n_rho`` and ``n_theta`` are the node counts of the ladder level that
     was returned; ``est_error`` is its difference to the level below, or
-    the rounding floor eps * sum |terms| when that is larger.
+    the rounding floor eps * sum |terms| when that is larger.  Both levels
+    share the radial cutoff ``rho_max``, so ``est_error`` does not see the
+    tail beyond it; that tail, at most the spec's ``tol`` by the choice of
+    the cutoff, comes on top of it.
     """
 
     value: complex
@@ -247,9 +246,10 @@ def growth_envelope(F: InitialDatum) -> tuple[float, float, int]:
     if isinstance(F, PlaneWave):
         return 1.0, math.hypot(abs(F.k1), abs(F.k2)), 0
     if isinstance(F, TaylorField):
-        return F.bound_a, F.bound_b, F.degree
+        return float(np.sum(np.abs(F.coeffs))) or 1.0, 0.0, F.degree
     if isinstance(F, DiscreteSuperposition):
-        return float(np.sum(np.abs(F.weights))), F.k0, 0
+        norms = np.hypot(F.wavevectors[:, 0], F.wavevectors[:, 1])
+        return float(np.sum(np.abs(F.weights))), float(norms.max(initial=0.0)), 0
     raise TypeError(f"not an initial datum: {F!r}")
 
 
@@ -302,7 +302,9 @@ def rho_max(spec: QuadratureSpec, t: float, r: float, B: float) -> float:
     ``b = r/(2t) + B + 1``; the Gaussian tail bound
     ``Int_R^inf <= (3/(2t)) * exp(b^2/(4a)) * exp(-a (R-mu)^2) / (2 a (R-mu))``
     with ``mu = b/(2a)`` is inverted for the smallest adequate R by
-    bisection.
+    bisection.  Every quadrature takes its cutoff from here: below this R
+    the tail is no longer bounded by tol, and ``est_error``, which compares
+    two rules on one R, does not see the tail.
 
     Raises
     ------
@@ -314,8 +316,6 @@ def rho_max(spec: QuadratureSpec, t: float, r: float, B: float) -> float:
     _check_time(t)
     if not 0 <= B < math.inf:
         raise ValueError(f"growth rate must be finite and nonnegative, got B={B}")
-    if spec.fixed_rho_max is not None:
-        return float(spec.fixed_rho_max)
     a = math.sin(2.0 * spec.alpha) / (4.0 * t)
     b = _ENVELOPE_RATE * r / t + B + 1.0
     mu = b / (2.0 * a)
@@ -354,7 +354,7 @@ def _paired_sum(kind, G, F, z1, z2, w2d) -> tuple[complex, float]:
     return complex(direct + kind.sign * image), float(np.abs(terms).sum())
 
 
-def _polar_rule(R: float, n_rho: int, n_theta: int, order: int, alpha: float = 0.0):
+def _polar_rule(R: float, n_rho: int, n_theta: int, alpha: float = 0.0):
     """Tensor rule of every quadrature: (rho, z, w_rho, theta, w_theta).
 
     Radial nodes rho on [0, R] are placed in u = sqrt(rho), angular nodes
@@ -363,8 +363,8 @@ def _polar_rule(R: float, n_rho: int, n_theta: int, order: int, alpha: float = 0
     so Sum w_rho[i] w_theta[j] f(z[i], theta[j]) approximates
     Int Int f(z, th) rho dth drho.
     """
-    u, wu = _gauss_panels(0.0, math.sqrt(R), n_rho, order)
-    th, wth = _gauss_panels(PHI_MIN, PHI_MAX, n_theta, order)
+    u, wu = _gauss_panels(0.0, math.sqrt(R), n_rho, _PANEL_ORDER)
+    th, wth = _gauss_panels(PHI_MIN, PHI_MAX, n_theta, _PANEL_ORDER)
     rho = u * u
     z = rho * complex(math.cos(alpha), math.sin(alpha))
     return rho, z, 2.0 * u * wu * rho, th, wth
@@ -379,14 +379,13 @@ def _node_ladder(spec: QuadratureSpec) -> list[tuple[int, int]]:
     level refines the one below in both directions.  The default spec
     gives 32x32, 48x48, 96x80 and 192x160 nodes.
     """
-    order = spec.panel_order
-    panels = [(-(-spec.n_rho // order), -(-spec.n_theta // order))]
+    panels = [(-(-spec.n_rho // _PANEL_ORDER), -(-spec.n_theta // _PANEL_ORDER))]
     for _ in range(3):
         p_rho, p_theta = panels[-1]
         if min(p_rho, p_theta) == 1:
             break
         panels.append((-(-p_rho // 2), -(-p_theta // 2)))
-    return [(p_rho * order, p_theta * order) for p_rho, p_theta in reversed(panels)]
+    return [(p_rho * _PANEL_ORDER, p_theta * _PANEL_ORDER) for p_rho, p_theta in reversed(panels)]
 
 
 class _FresnelGrid:
@@ -433,8 +432,7 @@ class _FresnelGrid:
         return level
 
     def _build(self, n_rho: int, n_theta: int):
-        spec = self.spec
-        _, z, w_rho, th, wth = _polar_rule(self.rho_max, n_rho, n_theta, spec.panel_order, spec.alpha)
+        _, z, w_rho, th, wth = _polar_rule(self.rho_max, n_rho, n_theta, self.spec.alpha)
         z, th = z[:, None], th[None, :]
         datum = eval_datum(self.F, np.multiply.outer((1.0, -1.0), z * np.cos(th)), z * np.sin(th))
         datum *= w_rho[:, None] * wth[None, :]
@@ -531,20 +529,20 @@ class RegularizedResult:
     extrap_delta: float
 
 
-def psi_regularized_oracle(kind: BoundaryKind, t: float, x: PolarPoint, F: InitialDatum,
-                           epsilons=(0.1, 0.05, 0.025, 0.0125),
-                           n_rho: int = 1024, n_theta: int = 256) -> RegularizedResult:
+def psi_regularized_oracle(kind: BoundaryKind, t: float, x: PolarPoint,
+                           F: InitialDatum) -> RegularizedResult:
     """Reference solution value by Gaussian regularization on real coordinates.
 
-    Computes ``Int exp(-eps |y|^2) G(t,x,y) F(y) dy`` for a decreasing
-    sequence of eps over the *unrotated* (real) coordinates, then removes
-    the regularization by polynomial extrapolation to eps = 0.  Slow and
-    low-accuracy (about 1e-2 relative) but entirely independent of the
-    contour rotation, so it cross-checks ``psi_fresnel``.
+    Computes ``Int exp(-eps |y|^2) G(t,x,y) F(y) dy`` for eps = 0.1, 0.05,
+    0.025 and 0.0125 over the *unrotated* (real) coordinates, each on a
+    1024 x 256 polar rule, then removes the regularization by polynomial
+    extrapolation to eps = 0.  Slow and low-accuracy (about 1e-2 relative)
+    but entirely independent of the contour rotation, so it cross-checks
+    ``psi_fresnel``.
 
     The regularization bias scales with eps * 4t, so the eps ladder must
-    descend well below 1/(4t); the default reaches 1/80 with a ratio-2
-    geometric sequence, which extrapolates to a few 1e-4 at t = 1.
+    descend well below 1/(4t); this ratio-2 geometric sequence reaches
+    1/80, which extrapolates to a few 1e-4 at t = 1.
 
     The datum must stay bounded on real points (real wavevectors or
     polynomial data).
@@ -554,20 +552,15 @@ def psi_regularized_oracle(kind: BoundaryKind, t: float, x: PolarPoint, F: Initi
     NonConvergence
         If the extrapolation does not stabilize.
     """
-    if len(epsilons) < 3:
-        raise ValueError("need at least three regularization strengths")
-    eps_arr = np.asarray(sorted(epsilons, reverse=True), dtype=float)
-    if np.any(eps_arr <= 0):
-        raise ValueError("regularization strengths must be positive")
+    eps_arr = np.array((0.1, 0.05, 0.025, 0.0125))
     A, B, degree = growth_envelope(F)
-    order = 16
     values = []
     for eps in eps_arr:
         # |G F| <= C (1+rho)^d on real points; Gaussian tail below 1e-4 * tol-scale
         C = max(A, 1.0) / (math.pi * t)
         R = math.sqrt(max(math.log(C / (2.0 * eps * 1e-6)), 1.0) / eps)
         R = R * (1.0 + 0.1 * degree)
-        rho, _, w_rho, th, wth = _polar_rule(R, n_rho, n_theta, order)
+        rho, _, w_rho, th, wth = _polar_rule(R, 1024, 256)
         G = _kernel_grid(t, x, rho[:, None], th[None, :])
         y1 = rho[:, None] * np.cos(th)[None, :]
         y2 = rho[:, None] * np.sin(th)[None, :]

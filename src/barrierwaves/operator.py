@@ -241,7 +241,7 @@ def build_table(kind: BoundaryKind, t: float, x: PolarPoint, N: int,
     R = rho_max(spec, t, x.r, B_eff)
 
     def raw_moments(n_rho, n_theta):
-        rho, z, w_rho, th, wth = _polar_rule(R, n_rho, n_theta, spec.panel_order, spec.alpha)
+        rho, z, w_rho, th, wth = _polar_rule(R, n_rho, n_theta, spec.alpha)
         G = _kernel_grid(t, x, z[:, None], th[None, :])
         # radial weights w * rho^(m+1) built multiplicatively
         radial = np.empty((N + 1, rho.size))

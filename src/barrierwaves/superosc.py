@@ -101,17 +101,18 @@ def superosc_coefficients(n: int, a: float) -> np.ndarray:
 
 
 def superosc_sequence(params: SuperoscParams) -> DiscreteSuperposition:
-    """F_n as a band-limited superposition datum (per-component band k0 = sqrt(2)).
+    """F_n as a band-limited superposition datum.
 
-    Every wavevector (k_j^p1, k_j^p2) has Euclidean norm at most sqrt(2)
-    because |k_j| <= 1, so the datum type certifies the band limit that
-    the out-of-band limit a^p > 1 per component escapes.
+    Every wavevector (k_j^p1, k_j^p2) has components in [-1, 1], because
+    |k_j| <= 1, while the limit a^p > 1 per component lies outside that
+    band.  The atom k_0 = 1 gives (1, 1), so the datum's growth rate (its
+    largest atom norm, ``growth_envelope``) is sqrt(2).
     """
     n, a = params.n, params.a
     c = superosc_coefficients(n, a)
     k = 1.0 - 2.0 * np.arange(n + 1) / n
     kvec = np.column_stack([k ** params.p1, k ** params.p2])
-    return DiscreteSuperposition(weights=c.astype(complex), wavevectors=kvec, k0=SQRT2)
+    return DiscreteSuperposition(weights=c.astype(complex), wavevectors=kvec)
 
 
 def closed_form_fn(params: SuperoscParams, z1, z2):
@@ -123,12 +124,12 @@ def closed_form_fn(params: SuperoscParams, z1, z2):
 
 
 @functools.lru_cache(maxsize=128)
-def reliable_order(a: float, digits: float = 12.0) -> int:
-    """Largest n whose coefficient spread leaves ``digits`` decimal digits.
+def reliable_order(a: float) -> int:
+    """Largest n whose coefficients lose at most 12 decimal digits.
 
     The F_n sum cancels |C_j| ~ a^n down to order one, so roughly
     log10(max|C_j|) digits are lost to the cancellation; evaluation in
-    doubles stays trustworthy while that loss is at most ~12 digits.
+    doubles stays trustworthy while that loss is at most 12 digits.
     Memoized: the search builds one coefficient array per order.
     """
     if not a > 1:
@@ -136,7 +137,7 @@ def reliable_order(a: float, digits: float = 12.0) -> int:
     n = 1
     while True:
         c = superosc_coefficients(n + 1, a)
-        if math.log10(float(np.abs(c).max())) > digits:
+        if math.log10(float(np.abs(c).max())) > 12.0:
             return n
         n += 1
         if n > 2000:

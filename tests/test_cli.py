@@ -64,6 +64,32 @@ def test_invalid_quadrature_spec_is_usage_error(tmp_path, flags):
     assert exc.value.code == 2
 
 
+@pytest.mark.parametrize("flag", ["--rho-max", "--panel-order"])
+@pytest.mark.parametrize("argv", [
+    ["field", "--t", "1", "--x", "1,0.3", "--plane-wave", "0.5,0.5"],
+    ["coeffs", "--t", "1", "--x", "1,0.3", "--order", "3"],
+    ["supershift", "--t", "1", "--x", "1,0.3"],
+])
+def test_radial_cutoff_and_panel_order_are_not_flags(tmp_path, capsys, flag, argv):
+    # R always comes from the tail bound and every panel has 16 nodes
+    with pytest.raises(SystemExit) as exc:
+        main(argv + [flag, "9", "--out", str(tmp_path / "o.csv")])
+    assert exc.value.code == 2
+    assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_radial_cutoff_config_key_is_usage_error(tmp_path, capsys):
+    conf = tmp_path / "run.conf"
+    conf.write_text("rho_max = 9\n")
+    with pytest.raises(SystemExit) as exc:
+        main(["field", "--config", str(conf), "--t", "1", "--x", "1,0.3",
+              "--plane-wave", "0.5,0.5", "--out", str(tmp_path / "o.csv")])
+    assert exc.value.code == 2
+    assert f"{conf}:1: unknown key 'rho_max'" in capsys.readouterr().err
+    assert not (tmp_path / "o.csv").exists()
+
+
 _FIELD_AT = ["field", "--x", "1,0.3"]
 _SUPERSHIFT_AT = ["supershift", "--t", "1", "--x", "1,0.3"]
 
@@ -159,12 +185,12 @@ def test_bad_config_value_fails_the_flags_own_check(tmp_path, capsys, line):
 def test_config_key_of_another_command_is_ignored(tmp_path):
     # one file serves every command: order belongs to coeffs, n_list to supershift
     conf = tmp_path / "run.conf"
-    conf.write_text("t = 1.0\nplane_wave = 0.5,0.5\norder = 5\nn_list = 2,4\nrho_max = 9\n")
+    conf.write_text("t = 1.0\nplane_wave = 0.5,0.5\norder = 5\nn_list = 2,4\nn_rho = 96\n")
     out = tmp_path / "o.csv"
     assert main(["--config", str(conf), "field", "--x", "1,1.1", "--out", str(out)]) == 0
     cfg = parse_config(["--config", str(conf), "field", "--x", "1,1.1", "--out", str(out)])
     assert not hasattr(cfg, "order") and not hasattr(cfg, "n_list")
-    assert cfg.fixed_rho_max == 9.0
+    assert cfg.n_rho == 96
     assert len(_read_csv(out)[1]) == 1
 
 

@@ -192,10 +192,6 @@ def test_table_estimate_needs_two_panels(tables_n10):
     coarse = build_table(BoundaryKind.DIRICHLET, 1.0, X, 10, QuadratureSpec(n_rho=17, n_theta=17))
     gap = np.max(np.abs(coarse.c - tables_n10[BoundaryKind.DIRICHLET].c))
     assert 0 < gap <= coarse.est_error
-    # a low panel order still gets a coarse pass with fewer panels
-    small = build_table(BoundaryKind.DIRICHLET, 1.0, X, 4,
-                        QuadratureSpec(n_rho=10, n_theta=10, panel_order=5))
-    assert small.est_error > 0
 
 
 def _log_majorant_terms_loop(t, r, alpha, log_weight, m_max):
@@ -339,6 +335,15 @@ def test_apply_taylor_degree_guard(tables_n10):
     small = build_table(BoundaryKind.NEUMANN, 1.0, X, 1)
     with pytest.raises(ValueError):
         apply_taylor(small, TaylorField([[0.0, 0.0], [0.0, 1.0]]))
+
+
+def test_non_finite_taylor_datum_never_reaches_the_sums(tables_n10):
+    # the datum type rejects a NaN coefficient, so apply_taylor cannot sum it
+    # into nan+nanj and numpy has nothing to warn about
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="Taylor coefficients must be finite"):
+            apply_taylor(tables_n10[BoundaryKind.NEUMANN], TaylorField([[math.nan, 1.0]]))
 
 
 def test_apply_plane_wave_at_zero_frequency_is_c00(tables_n10):

@@ -17,6 +17,7 @@ from barrierwaves.evolve import (
     PlaneWave,
     QuadratureSpec,
     TaylorField,
+    _PANEL_ORDER,
     _FresnelGrid,
     _gauss_panels,
     _node_ladder,
@@ -59,8 +60,8 @@ def _two_term_kernel(kind, t, x, z, theta):
 
 def _two_term_terms(kind, t, x, F, R, n_rho, n_theta):
     """Quadrature summands of one ladder level under the two-term kernel."""
-    u, wu = _gauss_panels(0.0, math.sqrt(R), n_rho, SPEC.panel_order)
-    th, wth = _gauss_panels(PHI_MIN, PHI_MAX, n_theta, SPEC.panel_order)
+    u, wu = _gauss_panels(0.0, math.sqrt(R), n_rho, _PANEL_ORDER)
+    th, wth = _gauss_panels(PHI_MIN, PHI_MAX, n_theta, _PANEL_ORDER)
     rho = u * u
     z = (rho * complex(math.cos(SPEC.alpha), math.sin(SPEC.alpha)))[:, None]
     G = _two_term_kernel(kind, t, x, z, th[None, :])
@@ -142,8 +143,8 @@ def test_build_table_matches_two_term_moments(kind):
     t, x, N = 0.9, PolarPoint(1.3, 2.2), 20
     table = build_table(kind, t, x, N, SPEC)
     R = rho_max(SPEC, t, x.r, effective_growth_rate(0.0, N + 1, t, SPEC.alpha))
-    u, wu = _gauss_panels(0.0, math.sqrt(R), SPEC.n_rho, SPEC.panel_order)
-    th, wth = _gauss_panels(PHI_MIN, PHI_MAX, SPEC.n_theta, SPEC.panel_order)
+    u, wu = _gauss_panels(0.0, math.sqrt(R), SPEC.n_rho, _PANEL_ORDER)
+    th, wth = _gauss_panels(PHI_MIN, PHI_MAX, SPEC.n_theta, _PANEL_ORDER)
     rho = u * u
     z = rho * complex(math.cos(SPEC.alpha), math.sin(SPEC.alpha))
     G = _two_term_kernel(kind, t, x, z[:, None], th[None, :])

@@ -6,7 +6,7 @@ import warnings
 import numpy as np
 import pytest
 
-from barrierwaves.evolve import PlaneWave, QuadratureSpec, eval_datum, psi_fresnel
+from barrierwaves.evolve import PlaneWave, QuadratureSpec, eval_datum, growth_envelope, psi_fresnel
 from barrierwaves.geometry import PolarPoint
 from barrierwaves.greens import BoundaryKind
 from barrierwaves.evolve import TailBoundUnsatisfiable
@@ -42,7 +42,14 @@ def test_first_order_atoms():
     seq = superosc_sequence(SuperoscParams(2.0, 1, 1, 1))
     assert np.allclose(seq.weights, [1.5, -0.5])
     assert np.allclose(seq.wavevectors, [[1.0, 1.0], [-1.0, -1.0]])
-    assert seq.k0 == SQRT2
+    assert growth_envelope(seq)[1] == SQRT2
+
+
+@pytest.mark.parametrize("p1, p2", [(1, 1), (1, 2), (2, 3)])
+@pytest.mark.parametrize("n", [3, 4, 7, 16])
+def test_sequence_growth_rate_is_sqrt2(p1, p2, n):
+    # the largest atom norm is that of k_0 = 1, i.e. (1, 1), bit for bit
+    assert growth_envelope(superosc_sequence(SuperoscParams(2.0, p1, p2, n)))[1] == SQRT2
 
 
 def test_coefficients_sum_to_one():
