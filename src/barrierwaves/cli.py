@@ -54,7 +54,6 @@ from .evolve import (
 from .operator import (
     N_CAP,
     TruncationInsufficient,
-    _require_usable_table,
     apply_plane_wave,
     apply_taylor,
     build_table,
@@ -322,17 +321,16 @@ def _command_args(argv):
     return argv[i + 1:]
 
 
-def parse_config(argv, file=None) -> argparse.Namespace:
+def parse_config(argv) -> argparse.Namespace:
     """Parse flags plus optional ``--config`` file; flags win over file values.
 
-    ``file`` supplies a configuration path when no ``--config`` flag is
-    present.  The file's lines are parsed as the selected subcommand's own
-    flags (a bad value is a usage error naming ``path:line``) into a
-    namespace that starts from the subcommand's defaults, and the command
-    line is parsed again on top of it, so anything given explicitly keeps
-    precedence over the file.  The parser is built once per process and
-    keeps no state from one call to the next.  ``usage_error`` on the
-    result reports a usage error against the selected subcommand.
+    The file's lines are parsed as the selected subcommand's own flags (a
+    bad value is a usage error naming ``path:line``) into a namespace that
+    starts from the subcommand's defaults, and the command line is parsed
+    again on top of it, so anything given explicitly keeps precedence over
+    the file.  The parser is built once per process and keeps no state
+    from one call to the next.  ``usage_error`` on the result reports a
+    usage error against the selected subcommand.
     """
     argv = _merge_dash_values(list(argv))
     parser, subparsers = _parser()
@@ -340,19 +338,18 @@ def parse_config(argv, file=None) -> argparse.Namespace:
         cfg = parser.parse_args(argv)
         if cfg.command is None:
             parser.error("a command is required (validate, field, coeffs, supershift, greens)")
-        cfg_file = cfg.config or file
-        if cfg_file:
+        if cfg.config:
             sub = subparsers[cfg.command]
             values = argparse.Namespace(command=cfg.command, config=cfg.config)
             # one line at a time, a bad value raising instead of exiting, so
             # that its message can name the file and line
             sub.exit_on_error = False
             try:
-                for lineno, flag in _config_flags(cfg_file, parser, subparsers, cfg.command):
+                for lineno, flag in _config_flags(cfg.config, parser, subparsers, cfg.command):
                     try:
                         sub.parse_args([flag], namespace=values)
                     except argparse.ArgumentError as exc:
-                        sub.error(f"{cfg_file}:{lineno}: {exc}")
+                        sub.error(f"{cfg.config}:{lineno}: {exc}")
             finally:
                 sub.exit_on_error = True
             # a namespace attribute that is already set takes no default
@@ -451,7 +448,6 @@ def _operator_value(kind, t, pol, F, spec):
         N = N_CAP
     N = min(max(N, degree), N_CAP)
     table = build_table(kind, t, pol, N, spec)
-    _require_usable_table(table)
     if isinstance(F, PlaneWave):
         return apply_plane_wave(table, (F.k1, F.k2))
     return apply_taylor(table, F)
@@ -498,10 +494,8 @@ def run_field(cfg, parser_error) -> int:
             # one radial cutoff and one node set for every point of the grid;
             # the rows' threads share its levels
             grid = _FresnelGrid(t, F, spec, max(radii))
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", TruncationInsufficient)
-            with ThreadPoolExecutor(max_workers=cfg.threads) as pool:
-                grid_rows = list(pool.map(compute_row, polar_rows))
+        with ThreadPoolExecutor(max_workers=cfg.threads) as pool:
+            grid_rows = list(pool.map(compute_row, polar_rows))
     except (NonConvergence, TailBoundUnsatisfiable, ArithmeticError) as exc:
         print(f"field evaluation failed: {exc}", file=sys.stderr)
         return 1
@@ -533,7 +527,6 @@ def run_coeffs(cfg, parser_error) -> int:
     spec = _spec_from_cfg(cfg, parser_error)
     try:
         table = build_table(cfg.kind, cfg.t, cfg.x, cfg.order, spec)
-        _require_usable_table(table)
     except (ArithmeticError, ValueError) as exc:
         print(f"coefficient table failed: {exc}", file=sys.stderr)
         return 1

@@ -129,6 +129,15 @@ class PlaneWave:
     k2: complex
 
 
+def _check_envelope(values: np.ndarray, what: str) -> None:
+    """Raise ``ValueError`` unless sum |values|, the envelope factor A of
+    ``growth_envelope``, is finite for finite ``values``."""
+    with np.errstate(over="ignore"):
+        total = np.sum(np.abs(values))
+    if not np.isfinite(total):
+        raise ValueError(f"growth envelope A = sum |{what}| exceeds double range")
+
+
 @dataclass(frozen=True, eq=False)
 class TaylorField:
     """Polynomial datum F(z) = sum f[n1][n2] z1^n1 z2^n2.
@@ -140,7 +149,7 @@ class TaylorField:
     Raises
     ------
     ValueError
-        If a coefficient is not finite.
+        If a coefficient is not finite, or sum |f| overflows.
     """
 
     coeffs: np.ndarray
@@ -149,6 +158,7 @@ class TaylorField:
         arr = np.atleast_2d(np.asarray(self.coeffs, dtype=complex))
         if not np.isfinite(arr).all():
             raise ValueError("Taylor coefficients must be finite")
+        _check_envelope(arr, "Taylor coefficients")
         object.__setattr__(self, "coeffs", arr)
 
     @property
@@ -168,8 +178,9 @@ class DiscreteSuperposition:
     Raises
     ------
     ValueError
-        If the wavevectors are not of shape (len(weights), 2), or a weight
-        or wavevector component is not finite.
+        If the wavevectors are not real or not of shape (len(weights), 2),
+        a weight or wavevector component is not finite, or sum |weights|
+        overflows.
     """
 
     weights: np.ndarray
@@ -177,13 +188,17 @@ class DiscreteSuperposition:
 
     def __post_init__(self):
         w = np.asarray(self.weights, dtype=complex)
-        k = np.asarray(self.wavevectors, dtype=float)
+        k = np.asarray(self.wavevectors)
+        if np.iscomplexobj(k) and np.any(k.imag != 0):
+            raise ValueError("wavevectors must be real")
+        k = np.asarray(k.real, dtype=float)
         object.__setattr__(self, "weights", w)
         object.__setattr__(self, "wavevectors", k)
         if k.ndim != 2 or k.shape[1] != 2 or k.shape[0] != w.shape[0]:
             raise ValueError("wavevectors must have shape (len(weights), 2)")
         if not (np.isfinite(w).all() and np.isfinite(k).all()):
             raise ValueError("weights and wavevectors must be finite")
+        _check_envelope(w, "superposition weights")
 
 
 InitialDatum = PlaneWave | TaylorField | DiscreteSuperposition

@@ -25,7 +25,6 @@ from __future__ import annotations
 
 import math
 import threading
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -50,7 +49,13 @@ N_CAP = 60
 
 
 class TruncationInsufficient(UserWarning):
-    """The certified series tail at the requested argument exceeds the tolerance."""
+    """No certified truncation order exists, so the table cap N = 60 is used.
+
+    ``truncation_order`` raises ``TailBoundUnsatisfiable`` in that case;
+    callers that fall back to the cap, as ``supershift_experiment`` does,
+    warn with this category that the result relies on empirical
+    coefficient decay.
+    """
 
 
 def _log_bound_factors(t: float, r: float, alpha: float) -> tuple[float, float]:
@@ -125,10 +130,10 @@ def _log_majorant_terms(t: float, r: float, alpha: float, log_weight: float,
                         m_max: int | None = None):
     """log of T_m = sum_{n1+n2=m} coeff_bound * exp(m * log_weight), m = 0..m_max.
 
-    ``log_weight`` is the log of the per-order derivative weight w (e.g.
-    log(e*B) for a datum envelope, log(max|k_i|) for a plane wave).  The
-    terms peak near m = 4 x^2, x = w sqrt(16 t / sin 2alpha); the default
-    ``m_max`` = 4 x^2 + 40 x + 200 ends far past the peak, and past N_CAP.
+    ``log_weight`` is the log of the per-order derivative weight w, e.g.
+    log(e*B) for a datum envelope.  The terms peak near m = 4 x^2,
+    x = w sqrt(16 t / sin 2alpha); the default ``m_max`` = 4 x^2 + 40 x
+    + 200 ends far past the peak, and past N_CAP.
     """
     base, log_scale = _log_bound_factors(t, r, alpha)
     if m_max is None:
@@ -197,7 +202,10 @@ class CoeffTable:
 
     ``c[n1, n2]`` and ``bound[n1, n2]`` are valid for n1+n2 <= N (other
     entries are zero).  ``est_error`` is a mesh-refinement difference taken
-    over all entries at once.
+    over all entries at once.  ``build_table`` returns only usable tables:
+    finite entries and bounds, and ``est_error`` at most 10 * spec.tol.
+    Whether N certifies a given datum is the caller's choice of N, through
+    ``truncation_order``.
     """
 
     kind: BoundaryKind
@@ -226,17 +234,32 @@ def build_table(kind: BoundaryKind, t: float, x: PolarPoint, N: int,
     rho^(N+1) weight of the highest moments.  ``est_error`` compares the
     spec's rule with the level below it on ``psi_fresnel``'s node ladder.
 
+    A returned table is usable as it stands: its entries and bounds are
+    finite and ``est_error`` is at most 10 * spec.tol, the acceptance
+    ``psi_fresnel`` applies to its finest level.
+
     Raises
     ------
     ValueError
         If N exceeds the table cap (60) or is negative, or t is not finite
         and positive.
     NonConvergence
-        If an entry or the refinement estimate is not finite.
+        If a coefficient bound exceeds double range (for small t this is
+        where exp(9 r^2 / (2 t sin 2alpha)) leaves it; checked before any
+        kernel evaluation), an entry is not finite, or the refinement
+        estimate is not at most 10 * spec.tol.
     """
     if not 0 <= N <= N_CAP:
         raise ValueError(f"table order must lie in [0, {N_CAP}], got {N}")
     _check_time(t)
+    n1g, n2g = np.meshgrid(np.arange(N + 1), np.arange(N + 1), indexing="ij")
+    mg = n1g + n2g
+    valid = mg <= N
+    bound = np.zeros((N + 1, N + 1))
+    bound[valid] = coeff_bound(t, x.r, spec.alpha, n1g[valid], n2g[valid])
+    if np.isinf(bound).any():
+        raise NonConvergence(
+            f"coefficient bounds at t={t}, r={x.r}, N={N} exceed double range")
     B_eff = effective_growth_rate(0.0, N + 1, t, spec.alpha)
     R = rho_max(spec, t, x.r, B_eff)
 
@@ -269,9 +292,6 @@ def build_table(kind: BoundaryKind, t: float, x: PolarPoint, N: int,
     inv_fact = np.ones(N + 1)
     for n in range(1, N + 1):
         inv_fact[n] = inv_fact[n - 1] / n
-    n1g, n2g = np.meshgrid(np.arange(N + 1), np.arange(N + 1), indexing="ij")
-    mg = n1g + n2g
-    valid = mg <= N
     phase = np.exp(1j * spec.alpha * (mg + 2))
     scale = phase * inv_fact[n1g] * inv_fact[n2g]
     # an overflowing kernel leaves a non-finite table, which is rejected below
@@ -282,39 +302,21 @@ def build_table(kind: BoundaryKind, t: float, x: PolarPoint, N: int,
         c = np.where(valid, scale * fine, 0.0)
         diff = np.abs(np.where(valid, scale * (fine - coarse), 0.0))
     est_error = float(diff.max())
-    # a NaN estimate fails this test too
-    if not (np.isfinite(c).all() and est_error < math.inf):
+    if not np.isfinite(c).all():
         raise NonConvergence(
             f"coefficient table at t={t}, r={x.r}, N={N} is not finite "
             f"(refinement estimate {est_error:.3e})")
-
-    bound = np.zeros((N + 1, N + 1))
-    bound[valid] = coeff_bound(t, x.r, spec.alpha, n1g[valid], n2g[valid])
+    limit = 10.0 * spec.tol
+    # a NaN estimate fails this test too
+    if not est_error <= limit:
+        raise NonConvergence(
+            f"coefficient table at t={t}, r={x.r}, N={N} "
+            f"has refinement estimate {est_error:.3e} above {limit:.1e}")
 
     c.setflags(write=False)
     bound.setflags(write=False)
     return CoeffTable(kind=kind, t=t, x=x, N=N, c=c, bound=bound,
                       est_error=est_error, spec=spec)
-
-
-def _require_usable_table(table: CoeffTable) -> None:
-    """Raise ``NonConvergence`` unless the table's entries can be used.
-
-    ``build_table`` returns finite entries with an honest ``est_error``;
-    callers that use the entries reject the table here when a coefficient
-    bound is beyond double range (for small t this is where
-    exp(9 r^2 / (2 t sin 2alpha)) leaves double range), or when
-    ``est_error`` exceeds ten times the quadrature tolerance.
-    """
-    if np.isinf(table.bound).any():
-        raise NonConvergence(
-            f"coefficient bounds at t={table.t}, r={table.x.r}, N={table.N} "
-            f"exceed double range (refinement estimate {table.est_error:.3e})")
-    limit = 10.0 * table.spec.tol
-    if not table.est_error <= limit:
-        raise NonConvergence(
-            f"coefficient table at t={table.t}, r={table.x.r}, N={table.N} "
-            f"has refinement estimate {table.est_error:.3e} above {limit:.1e}")
 
 
 def _graded_sum(order_terms, N: int, shape=()):
@@ -375,9 +377,10 @@ def apply_plane_wave(table: CoeffTable, k):
     wavevectors at once, in extended precision, and the N + 1 order sums
     are compensated.
 
-    Emits one ``TruncationInsufficient`` warning per call when the certified
-    tail at the largest component modulus in the batch exceeds the table's
-    quadrature tolerance.
+    The table order is the caller's choice, and with it the certification:
+    ``truncation_order`` gives the N whose certified tail is below a
+    tolerance for a growth rate, and this function sums whatever table it
+    is given, without a tail check of its own.
 
     Raises
     ------
@@ -388,14 +391,6 @@ def apply_plane_wave(table: CoeffTable, k):
     if k.shape != (2,) and (k.ndim != 2 or k.shape[1] != 2):
         raise ValueError(f"wavevectors must have shape (2,) or (K, 2), got {k.shape}")
     batch = k.reshape(-1, 2)
-    kappa = float(np.abs(batch).max()) if batch.size else 0.0
-    if kappa > 0:
-        log_terms = _log_majorant_terms(table.t, table.x.r, table.spec.alpha, math.log(kappa))
-        if _log_tail(log_terms, table.N) > math.log(table.spec.tol):
-            warnings.warn(
-                f"certified series tail at |k|={kappa:.3g} exceeds tol={table.spec.tol}; "
-                f"result relies on empirical coefficient decay",
-                TruncationInsufficient, stacklevel=2)
     N = table.N
     ik = 1j * batch
     pow1 = np.ones((batch.shape[0], N + 1), dtype=complex)

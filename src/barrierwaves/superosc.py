@@ -29,7 +29,6 @@ from .evolve import DiscreteSuperposition, QuadratureSpec
 from .operator import (
     N_CAP,
     TruncationInsufficient,
-    _require_usable_table,
     apply_plane_wave,
     build_table,
     log_continuity_constant,
@@ -219,9 +218,9 @@ def supershift_experiment(kind: BoundaryKind, t: float, x: PolarPoint,
     Raises
     ------
     NonConvergence
-        If the table is not finite, its coefficient bounds exceed double
-        range (small t against r^2), or its refinement estimate exceeds
-        ten times ``spec.tol``.
+        From ``build_table``: the table is not finite, its coefficient
+        bounds exceed double range (small t against r^2), or its
+        refinement estimate exceeds ten times ``spec.tol``.
     """
     params0 = SuperoscParams(a=a, p1=p1, p2=p2, n=max(n_list))
     a_norm = math.hypot(*params0.a_vec)
@@ -236,16 +235,13 @@ def supershift_experiment(kind: BoundaryKind, t: float, x: PolarPoint,
             f"relying on empirical coefficient decay",
             TruncationInsufficient, stacklevel=2)
     table = build_table(kind, t, x, N, spec)
-    _require_usable_table(table)
     log_c = log_continuity_constant(t, x.r, spec.alpha, growth)
     log_dbl_max = math.log(np.finfo(float).max)
     family = [SuperoscParams(a=a, p1=p1, p2=p2, n=n) for n in sorted(n_list)]
     seqs = [superosc_sequence(params) for params in family]
     # every atom of every order, then the target: one application of the table
     atoms = np.concatenate([seq.wavevectors for seq in seqs] + [[params0.a_vec]])
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", TruncationInsufficient)
-        values = apply_plane_wave(table, atoms)
+    values = apply_plane_wave(table, atoms)
     psi_target = complex(values[-1])
     rows = []
     start = 0

@@ -160,19 +160,17 @@ def test_criterion_03_representation_equivalence(capsys):
 
     worst_pw = worst_poly = 0.0
     cases = 0
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", TruncationInsufficient)
-        for kind in (D, N):
-            for t in times:
-                for x in points:
-                    tab = build_table(kind, t, x, 32)
-                    ref = psi_fresnel(kind, t, x, PlaneWave(*k)).value
-                    rel = abs(apply_plane_wave(tab, k) - ref) / max(1.0, abs(ref))
-                    worst_pw = max(worst_pw, rel)
-                    ref = psi_fresnel(kind, t, x, poly).value
-                    rel = abs(apply_taylor(tab, poly) - ref) / max(1.0, abs(ref))
-                    worst_poly = max(worst_poly, rel)
-                    cases += 1
+    for kind in (D, N):
+        for t in times:
+            for x in points:
+                tab = build_table(kind, t, x, 32)
+                ref = psi_fresnel(kind, t, x, PlaneWave(*k)).value
+                rel = abs(apply_plane_wave(tab, k) - ref) / max(1.0, abs(ref))
+                worst_pw = max(worst_pw, rel)
+                ref = psi_fresnel(kind, t, x, poly).value
+                rel = abs(apply_taylor(tab, poly) - ref) / max(1.0, abs(ref))
+                worst_poly = max(worst_poly, rel)
+                cases += 1
     if cases != 18:
         problems.append(f"expected 18 cases, ran {cases}")
     if worst_pw > 1e-5:
@@ -206,10 +204,8 @@ def test_criterion_04_stationary_solutions(capsys):
     # Equivalent coefficient statements at one probe point.
     x = PolarPoint(2.0, 1.1)
     x1, x2 = x.r * math.cos(x.phi), x.r * math.sin(x.phi)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", TruncationInsufficient)
-        tn = build_table(N, 1.0, x, 4)
-        td = build_table(D, 1.0, x, 4)
+    tn = build_table(N, 1.0, x, 4)
+    td = build_table(D, 1.0, x, 4)
     for got, want, name in ((tn.c[0, 0], 1.0, "c_N[0,0]"), (tn.c[0, 1], x2, "c_N[0,1]"),
                             (td.c[1, 0], x1, "c_D[1,0]"), (td.c[1, 1], x1 * x2, "c_D[1,1]")):
         if abs(got - want) > 1e-5 * max(1.0, abs(want)):
@@ -232,10 +228,8 @@ def test_criterion_05_alpha_invariance(capsys):
     if dpsi > 1e-5:
         problems.append(f"field varies with alpha by {dpsi:.3e}")
 
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", TruncationInsufficient)
-        tabs = [build_table(N, t, x, 6, replace(QuadratureSpec(), alpha=a))
-                for a in alphas]
+    tabs = [build_table(N, t, x, 6, replace(QuadratureSpec(), alpha=a))
+            for a in alphas]
     dc = 0.0
     for n1 in range(7):
         for n2 in range(7 - n1):
@@ -256,19 +250,17 @@ def test_criterion_06_coefficient_bound(capsys):
                (1.3, PolarPoint(2.0, 1.1), 0.5),
                (0.5, PolarPoint(0.8, 2.2), 1.0))
     worst = 0.0
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", TruncationInsufficient)
-        for t, x, alpha in triples:
-            for kind in (D, N):
-                tab = build_table(kind, t, x, 10, replace(QuadratureSpec(), alpha=alpha))
-                for n1 in range(11):
-                    for n2 in range(11 - n1):
-                        ratio = abs(tab.c[n1, n2]) / coeff_bound(t, x.r, alpha, n1, n2)
-                        worst = max(worst, ratio)
-                        if ratio > 1.0:
-                            problems.append(
-                                f"|c[{n1},{n2}]| exceeds bound at (t={t}, r={x.r}, "
-                                f"alpha={alpha:.3f}, {kind.name}) by factor {ratio:.3f}")
+    for t, x, alpha in triples:
+        for kind in (D, N):
+            tab = build_table(kind, t, x, 10, replace(QuadratureSpec(), alpha=alpha))
+            for n1 in range(11):
+                for n2 in range(11 - n1):
+                    ratio = abs(tab.c[n1, n2]) / coeff_bound(t, x.r, alpha, n1, n2)
+                    worst = max(worst, ratio)
+                    if ratio > 1.0:
+                        problems.append(
+                            f"|c[{n1},{n2}]| exceeds bound at (t={t}, r={x.r}, "
+                            f"alpha={alpha:.3f}, {kind.name}) by factor {ratio:.3f}")
     _finish(capsys, 6, "coefficient bound", 60.0, start, problems,
             f"worst |c|/bound {worst:.1e}")
 
@@ -314,17 +306,15 @@ def test_criterion_08_holomorphy_in_wavevector(capsys):
            (-0.4 + 0.1j, -0.3 - 0.2j), (0.25, 0.6j)]
     h = 1e-5
     worst = 0.0
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", TruncationInsufficient)
-        tab = build_table(N, 1.0, PolarPoint(1.0, 0.9), 16)
-        for k1, k2 in pts:
-            for comp in (0, 1):
-                def f(w):
-                    return apply_plane_wave(tab, (w, k2) if comp == 0 else (k1, w))
-                base = k1 if comp == 0 else k2
-                d_re = (f(base + h) - f(base - h)) / (2 * h)
-                d_im = (f(base + 1j * h) - f(base - 1j * h)) / (2j * h)
-                worst = max(worst, abs(d_re - d_im) / max(1.0, abs(d_re)))
+    tab = build_table(N, 1.0, PolarPoint(1.0, 0.9), 16)
+    for k1, k2 in pts:
+        for comp in (0, 1):
+            def f(w):
+                return apply_plane_wave(tab, (w, k2) if comp == 0 else (k1, w))
+            base = k1 if comp == 0 else k2
+            d_re = (f(base + h) - f(base - h)) / (2 * h)
+            d_im = (f(base + 1j * h) - f(base - 1j * h)) / (2j * h)
+            worst = max(worst, abs(d_re - d_im) / max(1.0, abs(d_re)))
     if worst > 1e-5:
         problems.append(f"Cauchy-Riemann residual {worst:.3e}")
     _finish(capsys, 8, "holomorphy in k", 10.0, start, problems,

@@ -80,6 +80,33 @@ def test_taylor_datum_rejects_non_finite_coefficients(coeffs):
         TaylorField(coeffs)
 
 
+@pytest.mark.parametrize("wavevectors", [[[0.5 + 2j, 0.0]], np.array([[0.5 + 2j, 0.0]])],
+                         ids=["list", "ndarray"])
+def test_superposition_rejects_non_real_wavevectors(wavevectors):
+    # a cast to float would drop the imaginary part, and with it the datum
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="real"):
+            DiscreteSuperposition([1.0], wavevectors)
+    # a complex array holding real values is the same datum as its real part
+    sup = DiscreteSuperposition([1.0], np.array([[0.5 + 0j, 0.0]]))
+    assert sup.wavevectors.dtype == float
+    assert sup.wavevectors.tolist() == [[0.5, 0.0]]
+
+
+@pytest.mark.parametrize("make", [
+    lambda: TaylorField([[1e308, 1e308]]),
+    lambda: DiscreteSuperposition([1e308, 1e308], [[0.3, 0.4], [0.0, -0.5]]),
+], ids=["taylor", "superposition"])
+def test_datum_with_overflowing_envelope_raises(make):
+    # finite entries whose sum of moduli, the envelope A, is beyond double
+    # range: the datum says so, and numpy warns about nothing
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="envelope"):
+            make()
+
+
 def test_growth_envelope():
     assert growth_envelope(PlaneWave(0.6, -0.8)) == (1.0, pytest.approx(1.0), 0)
     A, B, d = growth_envelope(TaylorField([[1.0, 2.0], [0.5, 0.0]]))

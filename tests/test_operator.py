@@ -1,5 +1,6 @@
 """Tests for the infinite-order differential operator representation."""
 
+import cmath
 import math
 import sys
 import warnings
@@ -22,7 +23,6 @@ from barrierwaves.greens import BoundaryKind
 from barrierwaves.operator import (
     N_CAP,
     CoeffTable,
-    TruncationInsufficient,
     _log_majorant_terms,
     apply_plane_wave,
     apply_taylor,
@@ -39,12 +39,6 @@ ALPHA = math.pi / 4
 @pytest.fixture(scope="module")
 def tables_n10():
     return {kind: build_table(kind, 1.0, X, 10) for kind in BoundaryKind}
-
-
-def _quiet_apply(table, k):
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", TruncationInsufficient)
-        return apply_plane_wave(table, k)
 
 
 # ----------------------------------------------------------------------------
@@ -106,14 +100,19 @@ def test_stationary_coefficient_entries():
     assert td.c[1, 1] == pytest.approx(x1 * x2, abs=1e-10)
 
 
-def test_small_time_table_is_finite_with_honest_estimate():
-    # at t = 1e-3 the bounds exceed double range and the two rules disagree
-    # wildly; the table says so instead of raising a raw OverflowError
-    tab = build_table(BoundaryKind.DIRICHLET, 1e-3, PolarPoint(1.0, 0.3), 20)
-    valid = np.add.outer(np.arange(21), np.arange(21)) <= 20
-    assert np.isfinite(tab.c).all()
-    assert np.isinf(tab.bound[valid]).all()
-    assert 1.0 < tab.est_error < math.inf
+def test_small_time_table_with_unbounded_coefficients_raises():
+    # at t = 1e-3 every bound exceeds double range; build_table rejects the
+    # table itself, so no caller has to remember to
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NonConvergence, match="exceed double range"):
+            build_table(BoundaryKind.DIRICHLET, 1e-3, PolarPoint(1.0, 0.3), 20)
+
+
+def test_inaccurate_table_raises():
+    # a 17x17 rule at the default tol leaves est_error above 10 * tol
+    with pytest.raises(NonConvergence, match="refinement estimate"):
+        build_table(BoundaryKind.DIRICHLET, 1.0, X, 10, QuadratureSpec(n_rho=17, n_theta=17))
 
 
 def test_non_finite_table_raises_nonconvergence():
@@ -189,7 +188,8 @@ def test_table_estimate_needs_two_panels(tables_n10):
     # one panel would make the coarse pass the fine pass again: est_error 0
     with pytest.raises(ValueError):
         build_table(BoundaryKind.DIRICHLET, 1.0, X, 10, QuadratureSpec(n_rho=16, n_theta=16))
-    coarse = build_table(BoundaryKind.DIRICHLET, 1.0, X, 10, QuadratureSpec(n_rho=17, n_theta=17))
+    coarse = build_table(BoundaryKind.DIRICHLET, 1.0, X, 10,
+                         QuadratureSpec(n_rho=17, n_theta=17, tol=0.01))
     gap = np.max(np.abs(coarse.c - tables_n10[BoundaryKind.DIRICHLET].c))
     assert 0 < gap <= coarse.est_error
 
@@ -356,14 +356,14 @@ def test_apply_plane_wave_matches_fresnel(tables_n10):
     for kind, tab in tables_n10.items():
         tab20 = build_table(kind, 1.0, X, 20)
         direct = psi_fresnel(kind, 1.0, X, PlaneWave(*k), QuadratureSpec()).value
-        assert abs(_quiet_apply(tab20, k) - direct) <= 1e-5 * max(1.0, abs(direct))
+        assert abs(apply_plane_wave(tab20, k) - direct) <= 1e-5 * max(1.0, abs(direct))
 
 
 def test_apply_plane_wave_stable_under_order_increase():
     k = (0.5, 0.5)
     for kind in BoundaryKind:
-        a = _quiet_apply(build_table(kind, 1.0, X, 20), k)
-        b = _quiet_apply(build_table(kind, 1.0, X, 24), k)
+        a = apply_plane_wave(build_table(kind, 1.0, X, 20), k)
+        b = apply_plane_wave(build_table(kind, 1.0, X, 24), k)
         assert abs(a - b) < QuadratureSpec().tol
 
 
@@ -372,22 +372,18 @@ def test_order_doubling_beyond_certified_order_is_inert():
     # nothing at that frequency.
     spec = QuadratureSpec(tol=1e-5)
     a = apply_plane_wave(build_table(BoundaryKind.DIRICHLET, 1.0, X, 38, spec), (0.1, 0.1))
-    b = _quiet_apply(build_table(BoundaryKind.DIRICHLET, 1.0, X, 42, spec), (0.1, 0.1))
+    b = apply_plane_wave(build_table(BoundaryKind.DIRICHLET, 1.0, X, 42, spec), (0.1, 0.1))
     assert abs(a - b) < 1e-5
 
 
-def test_truncation_warning_emitted_when_tail_uncertified():
-    tab = build_table(BoundaryKind.DIRICHLET, 1.0, X, 8)
-    with pytest.warns(TruncationInsufficient):
-        apply_plane_wave(tab, (1.2, -0.7))
-
-
-def test_no_warning_when_tail_certified():
-    spec = QuadratureSpec(tol=1e-5)
-    tab = build_table(BoundaryKind.DIRICHLET, 1.0, X, 38, spec)
+def test_apply_plane_wave_leaves_certification_to_the_caller():
+    # |k| = 2 sqrt(2) at the N = 60 cap is beyond the certified tail; the
+    # caller chose N, so applying the table warns about nothing
+    tab = build_table(BoundaryKind.DIRICHLET, 1.0, PolarPoint(1.0, math.pi / 2), 60)
     with warnings.catch_warnings():
-        warnings.simplefilter("error", TruncationInsufficient)
-        apply_plane_wave(tab, (0.1, 0.1))
+        warnings.simplefilter("error")
+        value = apply_plane_wave(tab, (2.0, 2.0))
+    assert cmath.isfinite(value)
 
 
 # ----------------------------------------------------------------------------
@@ -420,9 +416,9 @@ def _fsum_reference(table, weights):
 def test_batched_apply_rows_equal_single_calls_bitwise(tables_n10, table_n60):
     ks = np.concatenate([_wavevectors(9, 1), [(0.5 + 0.3j, 0.2), (0.0, 0.0)]])
     for tab in (tables_n10[BoundaryKind.NEUMANN], table_n60):
-        batch = _quiet_apply(tab, ks)
+        batch = apply_plane_wave(tab, ks)
         assert batch.shape == (len(ks),)
-        singles = [_quiet_apply(tab, k) for k in ks]
+        singles = [apply_plane_wave(tab, k) for k in ks]
         assert all(type(v) is complex for v in singles)
         assert np.array(singles).tobytes() == batch.tobytes()
 
@@ -451,23 +447,11 @@ def test_apply_plane_wave_matches_fsum_of_terms(N):
     for kind in BoundaryKind:
         tab = build_table(kind, 1.0, X, N)
         ks = _wavevectors(12, N)
-        got = _quiet_apply(tab, ks)
+        got = apply_plane_wave(tab, ks)
         for k, value in zip(ks, got):
             ik1, ik2 = 1j * complex(k[0]), 1j * complex(k[1])
             ref, mag = _fsum_reference(tab, lambda n1, n2: ik1 ** n1 * ik2 ** n2)
             assert abs(value - ref) <= 1e-13 * mag
-
-
-def test_batched_apply_warns_once_when_some_row_is_uncertified():
-    # N = 38 certifies tol 1e-5 for components up to 0.1 here
-    spec = QuadratureSpec(tol=1e-5)
-    tab = build_table(BoundaryKind.DIRICHLET, 1.0, X, 38, spec)
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        apply_plane_wave(tab, [(0.1, 0.1), (0.05, -0.1), (0.0, 0.0)])
-        assert not caught
-        apply_plane_wave(tab, [(0.1, 0.1), (1.2, -0.7), (1.5, 0.2)])
-    assert [w.category for w in caught] == [TruncationInsufficient]
 
 
 def test_apply_taylor_matches_fsum_of_terms(table_n60):
@@ -487,8 +471,8 @@ def test_holomorphy_in_wavevector(tables_n10):
     tab = build_table(BoundaryKind.NEUMANN, 1.0, X, 16)
     k0 = 0.5 + 0.3j
     h = 1e-5
-    d_re = (_quiet_apply(tab, (k0 + h, 0.2)) - _quiet_apply(tab, (k0 - h, 0.2))) / (2 * h)
-    d_im = (_quiet_apply(tab, (k0 + 1j * h, 0.2)) - _quiet_apply(tab, (k0 - 1j * h, 0.2))) / (
+    d_re = (apply_plane_wave(tab, (k0 + h, 0.2)) - apply_plane_wave(tab, (k0 - h, 0.2))) / (2 * h)
+    d_im = (apply_plane_wave(tab, (k0 + 1j * h, 0.2)) - apply_plane_wave(tab, (k0 - 1j * h, 0.2))) / (
         2j * h
     )
     assert abs(d_re - d_im) <= 1e-6 * max(1.0, abs(d_re))
