@@ -213,13 +213,8 @@ def _build_parser():
 
     def add_quadrature_flags(p):
         p.add_argument("--alpha", type=float, help="contour rotation angle in (0, pi/2)")
-        p.add_argument("--n-rho", type=int, dest="n_rho",
-                       help="radial node count, more than 16; the finest "
-                            "level of the node ladder for field --method quadrature")
-        p.add_argument("--n-theta", type=int, dest="n_theta",
-                       help="angular node count, more than 16; the finest "
-                            "level of the node ladder for field --method quadrature")
-        p.add_argument("--tol", type=float, help="quadrature tail tolerance")
+        p.add_argument("--tol", type=float,
+                       help="target accuracy; sets the radial cutoff and where the node ladder stops")
 
     p = subparsers["validate"] = sub.add_parser("validate", help="run the invariant suites")
     add_config_flag(p)

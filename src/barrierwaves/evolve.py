@@ -36,14 +36,13 @@ kernel carries half-integer powers of rho (through sqrt(r z)), so the
 integrand is analytic in u but only Holder-smooth in rho, and panel
 Gauss-Legendre in rho itself stalls near the origin.
 
-Accuracy is controlled by a coarse-to-fine ladder of tensor rules on one
-radial cutoff: the spec's panel counts, halved up to three times (rounded
-up to whole panels, and only while both directions keep two panels or
-more), are evaluated from the coarsest up, and the first
-level that agrees with the level below to within ``tol`` is returned with
-that difference as its error estimate, floored at the rounding error
-eps * sum |terms| of the level's own sum.  Each level is the error estimate
-of the next, so no node is evaluated beyond the first converged level.
+Accuracy is controlled by a fixed coarse-to-fine ladder of tensor rules
+on one radial cutoff, 32x32, 48x48, 96x80, 192x160 and 384x320 nodes
+(``_LADDER``), evaluated from the coarsest up; the first level that agrees
+with the level below to within ``tol`` is returned with that difference as
+its error estimate, floored at the rounding error eps * sum |terms| of the
+level's own sum.  Each level is the error estimate of the next, so no node
+is evaluated beyond the first converged level.
 
 Only the kernel depends on the evaluation point x: the cutoff, the nodes,
 the tensor weights and the datum at the nodes depend on t, F and the spec
@@ -73,6 +72,9 @@ RHO_MAX_CAP = 1.0e4
 _EPS = np.finfo(float).eps
 #: Gauss-Legendre nodes per panel of every quadrature rule
 _PANEL_ORDER = 16
+#: (n_rho, n_theta) node counts of the refinement ladder, coarsest first;
+#: each level refines the one below in both directions
+_LADDER = ((32, 32), (48, 48), (96, 80), (192, 160), (384, 320))
 
 
 class TailBoundUnsatisfiable(ArithmeticError):
@@ -87,26 +89,21 @@ class NonConvergence(ArithmeticError):
 class QuadratureSpec:
     """Parameters of the rotated-contour quadrature.
 
+    The node counts are not parameters: every quadrature walks the fixed
+    ladder ``_LADDER`` (32x32 up to 384x320 nodes) and stops where its
+    refinement estimate meets ``tol``.
+
     Attributes
     ----------
     alpha : float
         Contour rotation angle, in (0, pi/2).  pi/4 maximizes the Gaussian
         decay rate sin(2*alpha)/(4t).
-    n_theta, n_rho : int
-        Node counts of the finest rule in the angle and in the radial
-        square-root variable (each rounded up to a whole number of
-        16-node panels, and each above 16, i.e. at least two panels).
-        ``psi_fresnel`` stops at a coarser level of its ladder once that
-        level converges; ``build_table`` always returns this level and
-        takes its estimate from the level below.
     tol : float
         Target absolute accuracy; drives the refinement check and the
         radial cutoff, which ``rho_max`` always derives from the tail bound.
     """
 
     alpha: float = 0.25 * math.pi
-    n_theta: int = 160
-    n_rho: int = 192
     tol: float = 1e-7
 
     def __post_init__(self):
@@ -114,11 +111,6 @@ class QuadratureSpec:
             raise ValueError(f"alpha must lie in (0, pi/2), got {self.alpha}")
         if not self.tol > 0:
             raise ValueError(f"tol must be positive, got {self.tol}")
-        if self.n_theta <= _PANEL_ORDER or self.n_rho <= _PANEL_ORDER:
-            # one panel has no coarser rule to estimate its error against
-            raise ValueError(
-                f"n_rho and n_theta must exceed {_PANEL_ORDER} (at least two panels), "
-                f"got n_rho={self.n_rho}, n_theta={self.n_theta}")
 
 
 @dataclass(frozen=True)
@@ -231,7 +223,7 @@ def eval_datum(F: InitialDatum, z1, z2):
 
     A ``DiscreteSuperposition`` forms one complex exponent per point and
     atom, so it holds an array of the broadcast shape times the atom count
-    (about 17 MB for ``psi_fresnel``'s finest default level at n = 16).
+    (about 67 MB for ``psi_fresnel``'s finest level, 384x320, with 17 atoms).
     """
     if isinstance(F, PlaneWave):
         return np.exp(1j * (F.k1 * np.asarray(z1, dtype=complex) + F.k2 * np.asarray(z2, dtype=complex)))
@@ -385,24 +377,6 @@ def _polar_rule(R: float, n_rho: int, n_theta: int, alpha: float = 0.0):
     return rho, z, 2.0 * u * wu * rho, th, wth
 
 
-def _node_ladder(spec: QuadratureSpec) -> list[tuple[int, int]]:
-    """(n_rho, n_theta) node counts of the refinement ladder, coarsest first.
-
-    The finest level holds the spec's panel counts; each coarser level
-    halves them (rounding up to whole panels), at most three times and
-    only while both directions still have two panels or more, so each
-    level refines the one below in both directions.  The default spec
-    gives 32x32, 48x48, 96x80 and 192x160 nodes.
-    """
-    panels = [(-(-spec.n_rho // _PANEL_ORDER), -(-spec.n_theta // _PANEL_ORDER))]
-    for _ in range(3):
-        p_rho, p_theta = panels[-1]
-        if min(p_rho, p_theta) == 1:
-            break
-        panels.append((-(-p_rho // 2), -(-p_theta // 2)))
-    return [(p_rho * _PANEL_ORDER, p_theta * _PANEL_ORDER) for p_rho, p_theta in reversed(panels)]
-
-
 class _FresnelGrid:
     """Rotated-contour quadrature shared by every point of one grid.
 
@@ -431,9 +405,8 @@ class _FresnelGrid:
         tail_spec = spec if A <= 1.0 else replace(spec, tol=spec.tol / A)
         self.t, self.F, self.spec, self.r_max = t, F, spec, r_max
         self.rho_max = rho_max(tail_spec, t, r_max, B_eff)
-        self.ladder = _node_ladder(spec)
         self._phase = complex(math.cos(2.0 * spec.alpha), math.sin(2.0 * spec.alpha))
-        self._levels = [None] * len(self.ladder)
+        self._levels = [None] * len(_LADDER)
         self._lock = threading.Lock()
 
     def level(self, i: int):
@@ -443,7 +416,7 @@ class _FresnelGrid:
             with self._lock:
                 level = self._levels[i]
                 if level is None:
-                    level = self._levels[i] = self._build(*self.ladder[i])
+                    level = self._levels[i] = self._build(*_LADDER[i])
         return level
 
     def _build(self, n_rho: int, n_theta: int):
@@ -468,12 +441,13 @@ class _FresnelGrid:
 
     def sample(self, kind: BoundaryKind, x: PolarPoint) -> WaveSample:
         """Walk the ladder at ``x``, whose radius is at most ``r_max``, up to
-        its first converged level."""
+        its first converged level; a level is built only when some point
+        reaches it."""
         tol = self.spec.tol
         # an overflowing kernel leaves a non-finite estimate, which is rejected below
         with np.errstate(over="ignore", invalid="ignore"):
             coarse, _ = self.quad_value(kind, x, 0)
-            for i in range(1, len(self.ladder)):
+            for i in range(1, len(_LADDER)):
                 fine, magnitude = self.quad_value(kind, x, i)
                 try:
                     # a difference below the rounding of the sum itself says nothing
@@ -483,7 +457,7 @@ class _FresnelGrid:
                 if est <= tol:
                     break
                 coarse = fine
-        n_rho, n_theta = self.ladder[i]
+        n_rho, n_theta = _LADDER[i]
         # a NaN estimate fails this test too, so no NaN leaves as converged
         if not est <= 10.0 * tol:
             raise NonConvergence(
@@ -506,14 +480,14 @@ def psi_fresnel(kind: BoundaryKind, t: float, x: PolarPoint | Sequence[PolarPoin
     ladder level's nodes and datum values are computed once for all of
     them; ``WaveSample.rho_max`` reports that shared cutoff.
 
-    At each point the tensor rules of the node ladder (``spec.n_rho`` x
-    ``spec.n_theta`` at the finest level, up to three halvings below) are
-    evaluated from the coarsest up, all on one radial cutoff, and the first
-    level whose difference to the level below is at most ``spec.tol`` is
-    returned; that difference, or eps times the sum of the moduli of the
-    level's terms (the rounding of the sum) when that is larger, is
-    reported as ``est_error``.  Each point stops at its own level.  The
-    finest level is accepted up to 10 * spec.tol.  ``est_error`` compares
+    At each point the tensor rules of the fixed node ladder (32x32, 48x48,
+    96x80, 192x160 and 384x320 nodes) are evaluated from the coarsest up,
+    all on one radial cutoff, and the first level whose difference to the
+    level below is at most ``spec.tol`` is returned; that difference, or
+    eps times the sum of the moduli of the level's terms (the rounding of
+    the sum) when that is larger, is reported as ``est_error``.  Each point
+    stops at its own level, and a level no point reaches is never built.
+    The finest level is accepted up to 10 * spec.tol.  ``est_error`` compares
     two levels on one cutoff; the tail beyond the cutoff, at most
     ``spec.tol``, comes on top of it.
 

@@ -38,7 +38,7 @@ from .evolve import (
     QuadratureSpec,
     TailBoundUnsatisfiable,
     TaylorField,
-    _node_ladder,
+    _LADDER,
     _polar_rule,
     effective_growth_rate,
     rho_max,
@@ -231,8 +231,11 @@ def build_table(kind: BoundaryKind, t: float, x: PolarPoint, N: int,
     The propagator is evaluated once on the shared node set; every
     coefficient is an angular/radial moment of that grid, so no entry sees
     a different kernel evaluation.  The radial cutoff accounts for the
-    rho^(N+1) weight of the highest moments.  ``est_error`` compares the
-    spec's rule with the level below it on ``psi_fresnel``'s node ladder.
+    rho^(N+1) weight of the highest moments.  The table is taken on the
+    192x160 level of ``psi_fresnel``'s node ladder, and ``est_error``
+    compares it with the 96x80 level below; only when that estimate is
+    above 10 * spec.tol does the table climb to the 384x320 level, with
+    the 192x160 table as its comparison.
 
     A returned table is usable as it stands: its entries and bounds are
     finite and ``est_error`` is at most 10 * spec.tol, the acceptance
@@ -247,7 +250,7 @@ def build_table(kind: BoundaryKind, t: float, x: PolarPoint, N: int,
         If a coefficient bound exceeds double range (for small t this is
         where exp(9 r^2 / (2 t sin 2alpha)) leaves it; checked before any
         kernel evaluation), an entry is not finite, or the refinement
-        estimate is not at most 10 * spec.tol.
+        estimate is not at most 10 * spec.tol at the 384x320 level.
     """
     if not 0 <= N <= N_CAP:
         raise ValueError(f"table order must lie in [0, {N_CAP}], got {N}")
@@ -294,24 +297,27 @@ def build_table(kind: BoundaryKind, t: float, x: PolarPoint, N: int,
         inv_fact[n] = inv_fact[n - 1] / n
     phase = np.exp(1j * spec.alpha * (mg + 2))
     scale = phase * inv_fact[n1g] * inv_fact[n2g]
+    limit = 10.0 * spec.tol
     # an overflowing kernel leaves a non-finite table, which is rejected below
     with np.errstate(over="ignore", invalid="ignore"):
-        fine = raw_moments(spec.n_rho, spec.n_theta)
-        # the level below the finest on psi_fresnel's ladder: half the panels
-        coarse = raw_moments(*_node_ladder(spec)[-2])
-        c = np.where(valid, scale * fine, 0.0)
-        diff = np.abs(np.where(valid, scale * (fine - coarse), 0.0))
-    est_error = float(diff.max())
-    if not np.isfinite(c).all():
-        raise NonConvergence(
-            f"coefficient table at t={t}, r={x.r}, N={N} is not finite "
-            f"(refinement estimate {est_error:.3e})")
-    limit = 10.0 * spec.tol
-    # a NaN estimate fails this test too
-    if not est_error <= limit:
-        raise NonConvergence(
-            f"coefficient table at t={t}, r={x.r}, N={N} "
-            f"has refinement estimate {est_error:.3e} above {limit:.1e}")
+        coarse = raw_moments(*_LADDER[2])
+        for n_rho, n_theta in _LADDER[3:]:
+            fine = raw_moments(n_rho, n_theta)
+            c = np.where(valid, scale * fine, 0.0)
+            est_error = float(np.abs(np.where(valid, scale * (fine - coarse), 0.0)).max())
+            if not np.isfinite(c).all():
+                raise NonConvergence(
+                    f"coefficient table at t={t}, r={x.r}, N={N} is not finite "
+                    f"(refinement estimate {est_error:.3e})")
+            # a NaN estimate fails this test too, and climbs
+            if est_error <= limit:
+                break
+            coarse = fine
+        else:
+            raise NonConvergence(
+                f"coefficient table at t={t}, r={x.r}, N={N} "
+                f"has refinement estimate {est_error:.3e} above {limit:.1e} "
+                f"(n_rho={n_rho}, n_theta={n_theta})")
 
     c.setflags(write=False)
     bound.setflags(write=False)

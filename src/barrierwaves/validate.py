@@ -124,7 +124,6 @@ def _suite_propagator_pde() -> SuiteResult:
 
 def _suite_quadrature_stationary() -> SuiteResult:
     worst = 0.0
-    spec = QuadratureSpec(n_rho=128, n_theta=128)
     cases = [
         (BoundaryKind.NEUMANN, TaylorField(np.array([[1.0]], dtype=complex)),
          lambda c: 1.0),
@@ -135,7 +134,7 @@ def _suite_quadrature_stationary() -> SuiteResult:
     ]
     for kind, F, expect in cases:
         for x in (PolarPoint(1.0, math.pi / 2), PolarPoint(1.5, 2.4)):
-            s = psi_fresnel(kind, 0.9, x, F, spec)
+            s = psi_fresnel(kind, 0.9, x, F)
             ref = expect(to_cartesian(x))
             worst = max(worst, abs(s.value - ref) / max(abs(ref), 1.0))
     return SuiteResult("quadrature-stationary", worst, 1e-6)
@@ -145,7 +144,7 @@ def _suite_alpha_invariance() -> SuiteResult:
     x = PolarPoint(1.2, 1.1)
     F = PlaneWave(0.4, -0.3)
     vals = [psi_fresnel(BoundaryKind.DIRICHLET, 1.0, x, F,
-                        QuadratureSpec(alpha=al, n_rho=128, n_theta=128)).value
+                        QuadratureSpec(alpha=al)).value
             for al in (0.4, math.pi / 4, 1.1)]
     spread = max(abs(v - vals[0]) for v in vals) / abs(vals[0])
     return SuiteResult("alpha-invariance", spread, 1e-6)
@@ -154,16 +153,15 @@ def _suite_alpha_invariance() -> SuiteResult:
 def _suite_operator_table() -> SuiteResult:
     worst = 0.0
     x = PolarPoint(1.0, math.pi / 2)
-    spec = QuadratureSpec(n_rho=128, n_theta=128)
     for kind in BoundaryKind:
-        tab = build_table(kind, 1.0, x, 24, spec)
+        tab = build_table(kind, 1.0, x, 24)
         over = np.maximum(np.abs(tab.c) - tab.bound, 0.0)
         worst = max(worst, float(over.max()))
         v = apply_plane_wave(tab, (0.3, 0.2))
-        f = psi_fresnel(kind, 1.0, x, PlaneWave(0.3, 0.2), spec)
+        f = psi_fresnel(kind, 1.0, x, PlaneWave(0.3, 0.2))
         worst = max(worst, abs(v - f.value) / abs(f.value))
     xc = to_cartesian(x)
-    tabn = build_table(BoundaryKind.NEUMANN, 1.0, x, 4, spec)
+    tabn = build_table(BoundaryKind.NEUMANN, 1.0, x, 4)
     worst = max(worst, abs(tabn.c[0, 0] - 1.0), abs(tabn.c[0, 1] - xc.x2))
     return SuiteResult("operator-table", worst, 1e-6)
 

@@ -56,7 +56,7 @@ def test_missing_time_is_usage_error(tmp_path):
     assert exc.value.code == 2
 
 
-@pytest.mark.parametrize("flags", [["--n-rho", "16"], ["--n-theta", "12"], ["--alpha", "0"]])
+@pytest.mark.parametrize("flags", [["--tol", "0"], ["--tol", "-1e-7"], ["--alpha", "0"]])
 def test_invalid_quadrature_spec_is_usage_error(tmp_path, flags):
     with pytest.raises(SystemExit) as exc:
         main(["field", "--t", "1", "--x", "1,1", "--plane-wave", "0.5,0.5",
@@ -64,14 +64,15 @@ def test_invalid_quadrature_spec_is_usage_error(tmp_path, flags):
     assert exc.value.code == 2
 
 
-@pytest.mark.parametrize("flag", ["--rho-max", "--panel-order"])
+@pytest.mark.parametrize("flag", ["--rho-max", "--panel-order", "--n-rho", "--n-theta"])
 @pytest.mark.parametrize("argv", [
     ["field", "--t", "1", "--x", "1,0.3", "--plane-wave", "0.5,0.5"],
     ["coeffs", "--t", "1", "--x", "1,0.3", "--order", "3"],
     ["supershift", "--t", "1", "--x", "1,0.3"],
 ])
 def test_radial_cutoff_and_panel_order_are_not_flags(tmp_path, capsys, flag, argv):
-    # R always comes from the tail bound and every panel has 16 nodes
+    # R always comes from the tail bound, every panel has 16 nodes and the
+    # node counts come from the fixed ladder
     with pytest.raises(SystemExit) as exc:
         main(argv + [flag, "9", "--out", str(tmp_path / "o.csv")])
     assert exc.value.code == 2
@@ -87,6 +88,18 @@ def test_radial_cutoff_config_key_is_usage_error(tmp_path, capsys):
               "--plane-wave", "0.5,0.5", "--out", str(tmp_path / "o.csv")])
     assert exc.value.code == 2
     assert f"{conf}:1: unknown key 'rho_max'" in capsys.readouterr().err
+    assert not (tmp_path / "o.csv").exists()
+
+
+@pytest.mark.parametrize("key", ["n_rho", "n_theta"])
+def test_node_count_config_keys_are_usage_errors(tmp_path, capsys, key):
+    conf = tmp_path / "run.conf"
+    conf.write_text(f"{key} = 96\n")
+    with pytest.raises(SystemExit) as exc:
+        main(["field", "--config", str(conf), "--t", "1", "--x", "1,0.3",
+              "--plane-wave", "0.5,0.5", "--out", str(tmp_path / "o.csv")])
+    assert exc.value.code == 2
+    assert f"{conf}:1: unknown key '{key}'" in capsys.readouterr().err
     assert not (tmp_path / "o.csv").exists()
 
 
@@ -185,12 +198,12 @@ def test_bad_config_value_fails_the_flags_own_check(tmp_path, capsys, line):
 def test_config_key_of_another_command_is_ignored(tmp_path):
     # one file serves every command: order belongs to coeffs, n_list to supershift
     conf = tmp_path / "run.conf"
-    conf.write_text("t = 1.0\nplane_wave = 0.5,0.5\norder = 5\nn_list = 2,4\nn_rho = 96\n")
+    conf.write_text("t = 1.0\nplane_wave = 0.5,0.5\norder = 5\nn_list = 2,4\ntol = 1e-8\n")
     out = tmp_path / "o.csv"
     assert main(["--config", str(conf), "field", "--x", "1,1.1", "--out", str(out)]) == 0
     cfg = parse_config(["--config", str(conf), "field", "--x", "1,1.1", "--out", str(out)])
     assert not hasattr(cfg, "order") and not hasattr(cfg, "n_list")
-    assert cfg.n_rho == 96
+    assert cfg.tol == 1e-8
     assert len(_read_csv(out)[1]) == 1
 
 
@@ -341,7 +354,7 @@ def test_field_operator_matches_quadrature(tmp_path):
 
 def test_field_thread_count_does_not_change_bytes(tmp_path):
     # at t = 0.6 the quadrature grid's points stop at 48x48, 96x80 and
-    # 192x160, so the threads share every level of the node ladder
+    # 192x160, so the threads share every level they reach
     cases = [
         (["--plane-wave", "0.4,-0.3"], "quadrature", "-3:3:5,-3:3:5"),
         (["--taylor", "0.5 1; -0.7"], "quadrature", "-3:3:5,-3:3:5"),
@@ -430,11 +443,12 @@ def test_table_with_unbounded_coefficients_fails_cleanly(tmp_path, capsys, argv)
 
 
 def test_table_with_inaccurate_entries_fails_cleanly(tmp_path, capsys):
-    # at t = 0.01 the table's refinement estimate is far above its tolerance
+    # at t = 0.01 even the top level's refinement estimate, 9e-10, is far
+    # above the tolerance
     out = tmp_path / "o.csv"
     with np.errstate(all="ignore"):
         rc = main(["field", "--method", "operator", "--t", "0.01", "--x=1,0.3",
-                   "--plane-wave", "0.4,-0.3", "--out", str(out)])
+                   "--plane-wave", "0.4,-0.3", "--tol", "1e-15", "--out", str(out)])
     assert rc == 1
     assert "refinement estimate" in capsys.readouterr().err
     assert not out.exists()

@@ -19,10 +19,10 @@ from barrierwaves.evolve import (
     TailBoundUnsatisfiable,
     TaylorField,
     WaveSample,
+    _LADDER,
     _gauss_panels,
     _gauss_rule,
     _FresnelGrid,
-    _node_ladder,
     effective_growth_rate,
     eval_datum,
     growth_envelope,
@@ -36,7 +36,9 @@ from barrierwaves.operator import build_table
 
 X = PolarPoint(1.0, math.pi / 2)
 SPEC = QuadratureSpec()
-# (t, x, F) at r/sqrt(t) = 6.4: the Neumann value needs the finest level,
+#: index of the 192x160 level, the one a table is taken on
+LEVEL_192 = _LADDER.index((192, 160))
+# (t, x, F) at r/sqrt(t) = 6.4: the Neumann value needs the 192x160 level,
 # and a cutoff from a looser kernel envelope leaves it unconverged
 FAR_CORNER = (0.5933, to_polar(CartesianPoint(3.434, -3.479)), PlaneWave(1.2435, 0.1245))
 
@@ -138,13 +140,10 @@ def test_spec_validation():
     with pytest.raises(ValueError):
         QuadratureSpec(alpha=math.pi / 2)
     with pytest.raises(ValueError):
-        QuadratureSpec(n_rho=4)
-    # one panel has no distinct coarser rule to estimate its error against
-    for kwargs in ({"n_rho": 16, "n_theta": 16}, {"n_rho": 8, "n_theta": 8}, {"n_theta": 16}):
-        with pytest.raises(ValueError, match="two panels"):
-            QuadratureSpec(**kwargs)
-    with pytest.raises(ValueError):
         QuadratureSpec(tol=0.0)
+    # the node counts come from the fixed ladder, not from the spec
+    with pytest.raises(TypeError):
+        QuadratureSpec(n_rho=192)
 
 
 def test_rho_max_monotone_in_growth():
@@ -260,68 +259,29 @@ def test_linearity_of_wave_superpositions():
     assert abs(lhs - rhs) <= 1e-10
 
 
-def test_node_ladder_halves_panels():
-    assert _node_ladder(SPEC) == [(32, 32), (48, 48), (96, 80), (192, 160)]
-    # levels stop once a direction is down to one panel and never repeat
-    assert _node_ladder(QuadratureSpec(n_rho=24, n_theta=24)) == [(16, 16), (32, 32)]
-    assert _node_ladder(QuadratureSpec(n_rho=17, n_theta=100)) == [(16, 64), (32, 112)]
-    assert _node_ladder(QuadratureSpec(n_rho=33, n_theta=33)) == [(16, 16), (32, 32), (48, 48)]
-
-
-@pytest.mark.parametrize("n_rho, n_theta", [(32, 160), (160, 32), (48, 192), (17, 100)])
-def test_node_ladder_refines_both_directions(n_rho, n_theta):
-    levels = _node_ladder(QuadratureSpec(n_rho=n_rho, n_theta=n_theta))
-    for (c_rho, c_theta), (f_rho, f_theta) in zip(levels, levels[1:]):
-        assert c_rho < f_rho and c_theta < f_theta
-    # only the coarsest level, which is never returned, may have one panel
-    assert all(min(lv) >= 2 * 16 for lv in levels[1:])
-    s = psi_fresnel(BoundaryKind.DIRICHLET, 1.0, PolarPoint(1.0, 1.0), PlaneWave(0.5, 0.5),
-                    QuadratureSpec(n_rho=n_rho, n_theta=n_theta, tol=1e-4))
-    assert min(s.n_rho, s.n_theta) >= 2 * 16
-
-
-def test_two_panel_spec_estimate_is_honest():
-    x = PolarPoint(1.0, 1.0)
-    F = PlaneWave(0.5, 0.5)
-    with pytest.raises(ValueError):
-        psi_fresnel(BoundaryKind.DIRICHLET, 1.0, x, F, QuadratureSpec(n_rho=16, n_theta=16))
-    ref = psi_fresnel(BoundaryKind.DIRICHLET, 1.0, x, F, SPEC).value
-    s = psi_fresnel(BoundaryKind.DIRICHLET, 1.0, x, F, QuadratureSpec(n_rho=17, n_theta=17, tol=1e-4))
-    assert (s.n_rho, s.n_theta) == (32, 32)
-    assert 0 < abs(s.value - ref) <= s.est_error
-
-
 def test_mesh_doubling_shrinks_error_estimate():
-    F = PlaneWave(0.5, 0.5)
-    # at tol 1e-4 both specs stop at the same 32x32 level
-    loose = [
-        psi_fresnel(BoundaryKind.DIRICHLET, 1.0, X, F, QuadratureSpec(n_rho=n, n_theta=n, tol=1e-4))
-        for n in (24, 48)
-    ]
-    assert [(s.n_rho, s.n_theta) for s in loose] == [(32, 32), (32, 32)]
-    assert loose[0] == loose[1]
-    # a tighter tol sends the 48-node spec on to its finest level: its
-    # 32x32 level differs from 16x16 by about 2.1e-6 here, which the
-    # 24-node spec accepts (<= 10*tol) and the 48-node spec does not
-    coarse, fine = (
-        psi_fresnel(BoundaryKind.DIRICHLET, 1.0, X, F, QuadratureSpec(n_rho=n, n_theta=n, tol=6e-7))
-        for n in (24, 48)
-    )
-    assert (coarse.n_rho, fine.n_rho) == (32, 48)
-    assert fine.est_error > 0
-    assert coarse.est_error / fine.est_error >= 4.0
+    # each level of one grid refines the one below in both directions, so
+    # the difference of successive levels, which is the estimate of the
+    # upper one, shrinks all the way up: here 2.6, 1.1e-3, 2.1e-8, 2.8e-12
+    t, x, F = FAR_CORNER
+    grid = _FresnelGrid(t, F, SPEC, x.r)
+    values = [grid.quad_value(BoundaryKind.NEUMANN, x, i)[0] for i in range(len(_LADDER))]
+    gaps = [abs(fine - coarse) for coarse, fine in zip(values, values[1:])]
+    assert gaps[-1] > 0
+    for coarse_gap, fine_gap in zip(gaps, gaps[1:]):
+        assert coarse_gap / fine_gap >= 100.0
 
 
 def test_finest_level_reproduces_fixed_pair():
     # far from the barrier tip at moderate t the ladder climbs to 192x160,
-    # where value and estimate are those of the (spec, spec/2) pair
+    # where value and estimate are those of the (192x160, 96x80) pair
     kind, t, x, F = BoundaryKind.DIRICHLET, 0.84, PolarPoint(3.15, 2.46), PlaneWave(-0.25, -1.19)
     s = psi_fresnel(kind, t, x, F, SPEC)
-    assert (s.n_rho, s.n_theta) == (SPEC.n_rho, SPEC.n_theta)
+    assert (s.n_rho, s.n_theta) == (192, 160)
     grid = _FresnelGrid(t, F, SPEC, x.r)
-    assert grid.ladder[-2] == (SPEC.n_rho // 2, SPEC.n_theta // 2)
-    fine, _ = grid.quad_value(kind, x, -1)
-    coarse, _ = grid.quad_value(kind, x, -2)
+    assert _LADDER[LEVEL_192 - 1] == (96, 80)
+    fine, _ = grid.quad_value(kind, x, LEVEL_192)
+    coarse, _ = grid.quad_value(kind, x, LEVEL_192 - 1)
     assert s.value == fine
     assert s.est_error == abs(fine - coarse)
 
@@ -341,7 +301,7 @@ def _seeded_ladder_points():
             F = TaylorField(np.where(n[:, None] + n[None, :] <= n[-1],
                                      rng.uniform(-1.0, 1.0, (n.size, n.size)), 0.0))
         yield kind, t, x, F
-    # far corner at r/sqrt(t) = 6.4, which still needs the finest level
+    # far corner at r/sqrt(t) = 6.4, which needs the 192x160 level
     yield BoundaryKind.NEUMANN, *FAR_CORNER
 
 
@@ -350,8 +310,8 @@ def test_ladder_agrees_with_finest_level_within_estimate():
     for kind, t, x, F in _seeded_ladder_points():
         s = psi_fresnel(kind, t, x, F, SPEC)
         levels.add(s.n_rho)
-        finest, _ = _FresnelGrid(t, F, SPEC, x.r).quad_value(kind, x, -1)
-        assert abs(s.value - finest) <= s.est_error <= 10 * SPEC.tol
+        reference, _ = _FresnelGrid(t, F, SPEC, x.r).quad_value(kind, x, LEVEL_192)
+        assert abs(s.value - reference) <= s.est_error <= 10 * SPEC.tol
     # the seeded points stop at every level above the coarsest
     assert levels == {48, 96, 192}
 
@@ -374,8 +334,8 @@ def test_corner_sweep_converges_within_estimate():
         kn, ang = rng.uniform(0.0, 1.5), rng.uniform(0.0, 2 * math.pi)
         F = PlaneWave(kn * math.cos(ang), kn * math.sin(ang))
         s = psi_fresnel(kind, t, x, F, SPEC)
-        finest, _ = _FresnelGrid(t, F, SPEC, x.r).quad_value(kind, x, -1)
-        assert abs(s.value - finest) <= s.est_error <= 10 * SPEC.tol
+        reference, _ = _FresnelGrid(t, F, SPEC, x.r).quad_value(kind, x, LEVEL_192)
+        assert abs(s.value - reference) <= s.est_error <= 10 * SPEC.tol
 
 
 def _grid_points():
@@ -423,8 +383,9 @@ def test_grid_call_agrees_with_single_point_calls(kind, F):
 def test_grid_builds_each_level_once(monkeypatch):
     calls = _counting_eval_datum(monkeypatch)
     samples = psi_fresnel(BoundaryKind.DIRICHLET, 0.6, _grid_points(), PlaneWave(0.4, -0.3), SPEC)
-    # every level up to the finest one any point reached, once for the grid
-    assert calls == [(n_rho, n_theta) for n_rho, n_theta in _node_ladder(SPEC)]
+    # every level up to the finest one any point reached, 192x160, once for
+    # the grid; the 384x320 level, which no point reaches, is never built
+    assert calls == list(_LADDER[:LEVEL_192 + 1])
     assert len(samples) > 4 * len(calls)
 
 
@@ -442,7 +403,7 @@ def test_shared_grid_levels_are_built_once_under_concurrency(monkeypatch):
             got = [f.result(timeout=120) for f in futures]
     finally:
         sys.setswitchinterval(interval)
-    assert len(calls) == len(_node_ladder(SPEC))
+    assert len(calls) == LEVEL_192 + 1
     assert got == expected * 3
 
 
@@ -452,23 +413,23 @@ def test_empty_point_sequence_gives_empty_list():
 
 def test_estimate_is_floored_at_the_rounding_of_the_sum():
     # here 48x48 and 32x32 agree to 6.1e-18, closer than either sum is
-    # rounded, and the finest rule differs by 1.5e-17
+    # rounded, and the 192x160 rule differs by 1.5e-17
     kind, t, x = BoundaryKind.DIRICHLET, 0.769, PolarPoint(0.1147, -1.5016)
     F = TaylorField(np.array([[0.824]]))
     s = psi_fresnel(kind, t, x, F, SPEC)
     grid = _FresnelGrid(t, F, SPEC, x.r)
-    finest, _ = grid.quad_value(kind, x, -1)
-    _, magnitude = grid.quad_value(kind, x, grid.ladder.index((s.n_rho, s.n_theta)))
+    reference, _ = grid.quad_value(kind, x, LEVEL_192)
+    _, magnitude = grid.quad_value(kind, x, _LADDER.index((s.n_rho, s.n_theta)))
     assert s.est_error >= np.finfo(float).eps * magnitude
-    assert abs(s.value - finest) <= s.est_error <= 10 * SPEC.tol
+    assert abs(s.value - reference) <= s.est_error <= 10 * SPEC.tol
 
 
 def test_nonconvergence_on_starved_mesh():
-    with pytest.raises(NonConvergence):
-        psi_fresnel(
-            BoundaryKind.DIRICHLET, 1.0, X, PlaneWave(0.5, 0.5),
-            QuadratureSpec(n_rho=32, n_theta=32, tol=1e-8),
-        )
+    # no level meets 10 * tol below the rounding of its own sum, since
+    # est_error >= eps * sum |terms| >= eps * |value|, so the walk runs out
+    # of levels and names the top one
+    with pytest.raises(NonConvergence, match=r"n_rho=384, n_theta=320"):
+        psi_fresnel(BoundaryKind.DIRICHLET, 1.0, X, PlaneWave(0.5, 0.5), QuadratureSpec(tol=1e-17))
 
 
 @pytest.mark.parametrize("t, k, error", [
@@ -508,7 +469,7 @@ def test_sample_metadata():
     assert s.x == X
     assert s.kind is BoundaryKind.NEUMANN
     assert s.rho_max > 0
-    # a smooth case converges two levels below the spec's 192x160
+    # a smooth case converges at the second level of the ladder
     assert (s.n_rho, s.n_theta) == (48, 48)
     assert s.est_error < SPEC.tol
 

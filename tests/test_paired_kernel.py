@@ -17,16 +17,16 @@ from barrierwaves.evolve import (
     PlaneWave,
     QuadratureSpec,
     TaylorField,
+    _LADDER,
     _PANEL_ORDER,
     _FresnelGrid,
     _gauss_panels,
-    _node_ladder,
     effective_growth_rate,
     eval_datum,
     psi_fresnel,
     rho_max,
 )
-from barrierwaves.geometry import PHI_MAX, PHI_MIN, PolarPoint
+from barrierwaves.geometry import PHI_MAX, PHI_MIN, CartesianPoint, PolarPoint, to_polar
 from barrierwaves.greens import (
     BoundaryKind,
     _kernel_grid,
@@ -93,10 +93,10 @@ def test_pair_is_erfcx_at_both_signs():
 
 
 @pytest.mark.parametrize("kind", list(BoundaryKind))
-@pytest.mark.parametrize("level", range(4))
+@pytest.mark.parametrize("level", range(len(_LADDER)))
 def test_quad_value_matches_two_term_reference(kind, level):
     rng = np.random.default_rng(1000 + level)
-    n_rho, n_theta = _node_ladder(SPEC)[level]
+    n_rho, n_theta = _LADDER[level]
     for _ in range(5):
         t, x, F = _field_point(rng)
         grid = _FresnelGrid(t, F, SPEC, x.r)
@@ -123,13 +123,12 @@ def test_greens_matches_two_term_formula():
 
 def test_ladder_stops_where_two_term_reference_stops():
     rng = np.random.default_rng(4242)
-    levels = _node_ladder(SPEC)
     for i in range(40):
         kind = (BoundaryKind.DIRICHLET, BoundaryKind.NEUMANN)[i % 2]
         t, x, F = _field_point(rng)
         s = psi_fresnel(kind, t, x, F, SPEC)
-        coarse = _two_term_terms(kind, t, x, F, s.rho_max, *levels[0]).sum()
-        for n_rho, n_theta in levels[1:]:
+        coarse = _two_term_terms(kind, t, x, F, s.rho_max, *_LADDER[0]).sum()
+        for n_rho, n_theta in _LADDER[1:]:
             fine = _two_term_terms(kind, t, x, F, s.rho_max, n_rho, n_theta).sum()
             if abs(fine - coarse) <= SPEC.tol:
                 break
@@ -143,8 +142,9 @@ def test_build_table_matches_two_term_moments(kind):
     t, x, N = 0.9, PolarPoint(1.3, 2.2), 20
     table = build_table(kind, t, x, N, SPEC)
     R = rho_max(SPEC, t, x.r, effective_growth_rate(0.0, N + 1, t, SPEC.alpha))
-    u, wu = _gauss_panels(0.0, math.sqrt(R), SPEC.n_rho, _PANEL_ORDER)
-    th, wth = _gauss_panels(PHI_MIN, PHI_MAX, SPEC.n_theta, _PANEL_ORDER)
+    # the table's own level, which its 96x80 estimate accepts here
+    u, wu = _gauss_panels(0.0, math.sqrt(R), 192, _PANEL_ORDER)
+    th, wth = _gauss_panels(PHI_MIN, PHI_MAX, 160, _PANEL_ORDER)
     rho = u * u
     z = rho * complex(math.cos(SPEC.alpha), math.sin(SPEC.alpha))
     G = _two_term_kernel(kind, t, x, z[:, None], th[None, :])
@@ -154,6 +154,28 @@ def test_build_table_matches_two_term_moments(kind):
             moment = (2.0 * u * wu * rho ** (m + 1)) @ G @ (np.cos(th) ** n1 * np.sin(th) ** n2 * wth)
             c = moment * np.exp(1j * SPEC.alpha * (m + 2)) / (math.factorial(n1) * math.factorial(n2))
             assert abs(table.c[n1, n2] - c) <= 1e-13 * abs(c)
+
+
+#: (kind, t, Cartesian x, k) from a seeded sweep of the corner band
+#: |x_i| in [4.5, 5.5], t in [0.5, 0.8], |k| <= 1.5, where r/sqrt(t) reaches
+#: 7; at each the 192x160 level still differs from 96x80 by more than
+#: 10 * tol (by 2.1e-6 up to 0.14)
+RESCUED_CORNERS = [
+    (BoundaryKind.DIRICHLET, 0.5564, (-4.555, 4.775), (-0.9116, -0.376)),
+    (BoundaryKind.NEUMANN, 0.5544, (5.104, -4.613), (0.0149, -0.0259)),
+    (BoundaryKind.DIRICHLET, 0.6352, (4.988, 5.12), (0.6982, -0.29)),
+    (BoundaryKind.NEUMANN, 0.5554, (4.957, 5.169), (0.9086, -1.0052)),
+]
+
+
+@pytest.mark.parametrize("kind, t, c, k", RESCUED_CORNERS)
+def test_corner_band_converges_on_the_top_level(kind, t, c, k):
+    x, F = to_polar(CartesianPoint(*c)), PlaneWave(*k)
+    s = psi_fresnel(kind, t, x, F, SPEC)
+    assert (s.n_rho, s.n_theta) == _LADDER[-1] == (384, 320)
+    # the independent assembly on twice the top level's nodes, same cutoff
+    reference = _two_term_terms(kind, t, x, F, s.rho_max, 768, 640).sum()
+    assert abs(s.value - reference) <= s.est_error + 2 * SPEC.tol
 
 
 def test_grid_kernel_has_no_boundary_sign():
