@@ -255,8 +255,6 @@ def _build_parser():
     p.add_argument("--p1", type=_number_above(int, 0, "power p1"), default=1)
     p.add_argument("--p2", type=_number_above(int, 0, "power p2"), default=1)
     p.add_argument("--n-list", type=_parse_nlist, dest="n_list", default=(4, 8, 12, 16))
-    p.add_argument("--radius", type=_number_above(float, 0.0, "radius"), default=4.0)
-    p.add_argument("--samples", type=_number_above(int, 0, "samples"), default=6)
     p.add_argument("--out", help="CSV output path")
     add_quadrature_flags(p)
 
@@ -548,8 +546,7 @@ def run_supershift(cfg, parser_error) -> int:
             warnings.simplefilter("ignore", TruncationInsufficient)
             result = supershift_experiment(
                 cfg.kind, cfg.t, cfg.x, a=cfg.a, p1=cfg.p1, p2=cfg.p2,
-                n_list=cfg.n_list, spec=spec, radius=cfg.radius,
-                samples=cfg.samples)
+                n_list=cfg.n_list, spec=spec)
     except (CoefficientOverflow, NonConvergence, TailBoundUnsatisfiable) as exc:
         print(f"supershift experiment failed: {exc}", file=sys.stderr)
         return 1

@@ -42,7 +42,8 @@ on one radial cutoff, 32x32, 48x48, 96x80, 192x160 and 384x320 nodes
 with the level below to within ``tol`` is returned with that difference as
 its error estimate, floored at the rounding error eps * sum |terms| of the
 level's own sum.  Each level is the error estimate of the next, so no node
-is evaluated beyond the first converged level.
+is evaluated beyond the first converged level.  ``_walk_ladder`` is that
+walk for values and coefficient tables alike.
 
 Only the kernel depends on the evaluation point x: the cutoff, the nodes,
 the tensor weights and the datum at the nodes depend on t, F and the spec
@@ -56,7 +57,6 @@ product-sum per level, and still stops at its own level.
 
 from __future__ import annotations
 
-import functools
 import math
 import threading
 from collections.abc import Sequence
@@ -260,28 +260,17 @@ def growth_envelope(F: InitialDatum) -> tuple[float, float, int]:
     raise TypeError(f"not an initial datum: {F!r}")
 
 
-@functools.lru_cache(maxsize=None)
-def _gauss_rule(order: int):
-    """Read-only reference Gauss-Legendre nodes and weights on [-1, 1]."""
-    x0, w0 = leggauss(order)
-    x0.setflags(write=False)
-    w0.setflags(write=False)
-    return x0, w0
+#: Gauss-Legendre nodes and weights of one panel, on [-1, 1]
+_PANEL_NODES, _PANEL_WEIGHTS = leggauss(_PANEL_ORDER)
 
 
-@functools.lru_cache(maxsize=256)
-def _gauss_panels(a: float, b: float, n: int, order: int):
+def _gauss_panels(a: float, b: float, n: int):
     """Composite Gauss-Legendre nodes/weights on [a, b], >= n nodes total."""
-    npan = max(1, -(-n // order))
-    x0, w0 = _gauss_rule(order)
+    npan = max(1, -(-n // _PANEL_ORDER))
     edges = np.linspace(a, b, npan + 1)
     half = 0.5 * (edges[1] - edges[0])
     mids = 0.5 * (edges[1:] + edges[:-1])
-    nodes = (mids[:, None] + half * x0[None, :]).ravel()
-    weights = np.tile(half * w0, npan)
-    nodes.setflags(write=False)
-    weights.setflags(write=False)
-    return nodes, weights
+    return (mids[:, None] + half * _PANEL_NODES).ravel(), np.tile(half * _PANEL_WEIGHTS, npan)
 
 
 def effective_growth_rate(B: float, degree: int, t: float, alpha: float) -> float:
@@ -370,11 +359,33 @@ def _polar_rule(R: float, n_rho: int, n_theta: int, alpha: float = 0.0):
     so Sum w_rho[i] w_theta[j] f(z[i], theta[j]) approximates
     Int Int f(z, th) rho dth drho.
     """
-    u, wu = _gauss_panels(0.0, math.sqrt(R), n_rho, _PANEL_ORDER)
-    th, wth = _gauss_panels(PHI_MIN, PHI_MAX, n_theta, _PANEL_ORDER)
+    u, wu = _gauss_panels(0.0, math.sqrt(R), n_rho)
+    th, wth = _gauss_panels(PHI_MIN, PHI_MAX, n_theta)
     rho = u * u
     z = rho * complex(math.cos(alpha), math.sin(alpha))
     return rho, z, 2.0 * u * wu * rho, th, wth
+
+
+def _walk_ladder(evaluate, gap, tol: float, start: int = 0):
+    """(value, estimate, (n_rho, n_theta)) of the first ladder level from
+    ``start`` up, ``evaluate(i)`` giving level i's value, whose estimate
+    ``gap(fine, coarse)`` against the level below is at most ``tol``; the
+    top level is accepted up to 10 * tol, and otherwise ``NonConvergence``
+    names it.  Overflow is left to the estimate, which is then not finite.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        coarse = evaluate(start)
+        for i in range(start + 1, len(_LADDER)):
+            fine = evaluate(i)
+            est = gap(fine, coarse)
+            if est <= tol:
+                break
+            coarse = fine
+    # a NaN estimate fails this test too, so no NaN leaves as converged
+    if not est <= 10.0 * tol:
+        raise NonConvergence(f"refinement estimate {est:.3e} exceeds 10*tol={10 * tol:.3e} "
+                             "(n_rho={}, n_theta={})".format(*_LADDER[i]))
+    return fine, est, _LADDER[i]
 
 
 class _FresnelGrid:
@@ -443,28 +454,16 @@ class _FresnelGrid:
         """Walk the ladder at ``x``, whose radius is at most ``r_max``, up to
         its first converged level; a level is built only when some point
         reaches it."""
-        tol = self.spec.tol
-        # an overflowing kernel leaves a non-finite estimate, which is rejected below
-        with np.errstate(over="ignore", invalid="ignore"):
-            coarse, _ = self.quad_value(kind, x, 0)
-            for i in range(1, len(_LADDER)):
-                fine, magnitude = self.quad_value(kind, x, i)
-                try:
-                    # a difference below the rounding of the sum itself says nothing
-                    est = max(abs(fine - coarse), _EPS * magnitude)
-                except OverflowError:
-                    est = math.inf
-                if est <= tol:
-                    break
-                coarse = fine
-        n_rho, n_theta = _LADDER[i]
-        # a NaN estimate fails this test too, so no NaN leaves as converged
-        if not est <= 10.0 * tol:
-            raise NonConvergence(
-                f"refinement difference {est:.3e} exceeds 10*tol={10 * tol:.3e} "
-                f"(n_rho={n_rho}, n_theta={n_theta})"
-            )
-        return WaveSample(value=fine, est_error=est, t=self.t, x=x, kind=kind,
+        def gap(fine, coarse):
+            try:
+                # a difference below the rounding of the sum itself says nothing
+                return max(abs(fine[0] - coarse[0]), _EPS * fine[1])
+            except OverflowError:
+                return math.inf
+
+        (value, _), est, (n_rho, n_theta) = _walk_ladder(
+            lambda i: self.quad_value(kind, x, i), gap, self.spec.tol)
+        return WaveSample(value=value, est_error=est, t=self.t, x=x, kind=kind,
                           rho_max=self.rho_max, n_rho=n_rho, n_theta=n_theta)
 
 

@@ -40,6 +40,7 @@ from .evolve import (
     TaylorField,
     _LADDER,
     _polar_rule,
+    _walk_ladder,
     effective_growth_rate,
     rho_max,
 )
@@ -201,9 +202,11 @@ class CoeffTable:
     """Tabulated operator coefficients c_{n1,n2}, n1+n2 <= N, at one (t, x).
 
     ``c[n1, n2]`` and ``bound[n1, n2]`` are valid for n1+n2 <= N (other
-    entries are zero).  ``est_error`` is a mesh-refinement difference taken
-    over all entries at once.  ``build_table`` returns only usable tables:
-    finite entries and bounds, and ``est_error`` at most 10 * spec.tol.
+    entries are zero).  ``n_rho`` and ``n_theta`` are the node counts of
+    the ladder level the table was taken on, and ``est_error`` is its
+    largest entrywise difference to the level below.  ``build_table``
+    returns only usable tables: finite entries and bounds, and
+    ``est_error`` at most spec.tol (10 * spec.tol on the top level).
     Whether N certifies a given datum is the caller's choice of N, through
     ``truncation_order``.
     """
@@ -216,6 +219,8 @@ class CoeffTable:
     bound: np.ndarray
     est_error: float
     spec: QuadratureSpec
+    n_rho: int
+    n_theta: int
 
     def entries(self):
         """(n1, n2, c) in graded lexicographic order."""
@@ -231,15 +236,14 @@ def build_table(kind: BoundaryKind, t: float, x: PolarPoint, N: int,
     The propagator is evaluated once on the shared node set; every
     coefficient is an angular/radial moment of that grid, so no entry sees
     a different kernel evaluation.  The radial cutoff accounts for the
-    rho^(N+1) weight of the highest moments.  The table is taken on the
-    192x160 level of ``psi_fresnel``'s node ladder, and ``est_error``
-    compares it with the 96x80 level below; only when that estimate is
-    above 10 * spec.tol does the table climb to the 384x320 level, with
-    the 192x160 table as its comparison.
+    rho^(N+1) weight of the highest moments.  The table walks
+    ``psi_fresnel``'s node ladder by the same rule, from 96x80 up: it is
+    taken on the first level whose largest entrywise difference to the
+    level below is at most spec.tol, and that difference is its
+    ``est_error``; the top level, 384x320, is accepted up to 10 * spec.tol.
 
     A returned table is usable as it stands: its entries and bounds are
-    finite and ``est_error`` is at most 10 * spec.tol, the acceptance
-    ``psi_fresnel`` applies to its finest level.
+    finite and its ``est_error`` meets that rule.
 
     Raises
     ------
@@ -297,32 +301,26 @@ def build_table(kind: BoundaryKind, t: float, x: PolarPoint, N: int,
         inv_fact[n] = inv_fact[n - 1] / n
     phase = np.exp(1j * spec.alpha * (mg + 2))
     scale = phase * inv_fact[n1g] * inv_fact[n2g]
-    limit = 10.0 * spec.tol
-    # an overflowing kernel leaves a non-finite table, which is rejected below
-    with np.errstate(over="ignore", invalid="ignore"):
-        coarse = raw_moments(*_LADDER[2])
-        for n_rho, n_theta in _LADDER[3:]:
-            fine = raw_moments(n_rho, n_theta)
-            c = np.where(valid, scale * fine, 0.0)
-            est_error = float(np.abs(np.where(valid, scale * (fine - coarse), 0.0)).max())
-            if not np.isfinite(c).all():
-                raise NonConvergence(
-                    f"coefficient table at t={t}, r={x.r}, N={N} is not finite "
-                    f"(refinement estimate {est_error:.3e})")
-            # a NaN estimate fails this test too, and climbs
-            if est_error <= limit:
-                break
-            coarse = fine
-        else:
-            raise NonConvergence(
-                f"coefficient table at t={t}, r={x.r}, N={N} "
-                f"has refinement estimate {est_error:.3e} above {limit:.1e} "
-                f"(n_rho={n_rho}, n_theta={n_theta})")
 
+    def entries(raw):
+        return np.where(valid, scale * raw, 0.0)
+
+    def gap(fine, coarse):
+        est = float(np.abs(entries(fine - coarse)).max())
+        if not np.isfinite(entries(fine)).all():
+            raise NonConvergence(
+                f"coefficient table at t={t}, r={x.r}, N={N} is not finite "
+                f"(refinement estimate {est:.3e})")
+        return est
+
+    # every level costs a full moment pass, so tables start on 96x80
+    raw, est_error, (n_rho, n_theta) = _walk_ladder(
+        lambda i: raw_moments(*_LADDER[i]), gap, spec.tol, start=2)
+    c = entries(raw)
     c.setflags(write=False)
     bound.setflags(write=False)
     return CoeffTable(kind=kind, t=t, x=x, N=N, c=c, bound=bound,
-                      est_error=est_error, spec=spec)
+                      est_error=est_error, spec=spec, n_rho=n_rho, n_theta=n_theta)
 
 
 def _graded_sum(order_terms, N: int, shape=()):

@@ -143,12 +143,11 @@ def reliable_order(a: float) -> int:
             return n
 
 
-def a1_distance(params: SuperoscParams, radius: float, growth: float,
-                samples: int = 6) -> float:
+def a1_distance(params: SuperoscParams, radius: float, growth: float) -> float:
     """Growth-weighted gap sup |F_n(z) - exp(1j a_vec . z)| exp(-growth |z|).
 
     The supremum over complex pairs is estimated on a deterministic
-    polydisc grid: 8 phases x ``samples`` radial shells per component,
+    polydisc grid: 8 phases x 6 radial shells per component,
     plus the origin.  A grid maximum can only under-estimate the true
     supremum, so treat the result as an observed gap, not a certificate.
     ``growth`` must majorize the exponential type of both functions,
@@ -161,11 +160,9 @@ def a1_distance(params: SuperoscParams, radius: float, growth: float,
         raise ValueError(
             f"growth={growth} does not majorize the exponential type "
             f"max(sqrt(2), {a_norm:.6g})")
-    if samples < 1:
-        raise ValueError(f"samples must be a positive integer, got {samples}")
     seq = superosc_sequence(params)
     phases = np.exp(2j * math.pi * np.arange(8) / 8.0)
-    shells = radius * np.arange(1, samples + 1) / samples
+    shells = radius * np.arange(1, 7) / 6
     axis = np.concatenate([[0.0 + 0.0j], (shells[:, None] * phases[None, :]).ravel()])
     z1 = axis[:, None]
     z2 = axis[None, :]
@@ -200,8 +197,7 @@ class SupershiftRow:
 def supershift_experiment(kind: BoundaryKind, t: float, x: PolarPoint,
                           a: float = 2.0, p1: int = 1, p2: int = 1,
                           n_list=(4, 8, 12, 16),
-                          spec: QuadratureSpec = QuadratureSpec(),
-                          radius: float = 4.0, samples: int = 6):
+                          spec: QuadratureSpec = QuadratureSpec()):
     """Evolve F_n for each order and compare against the evolved limit wave.
 
     One coefficient table serves every order and the target: the evolved
@@ -212,6 +208,7 @@ def supershift_experiment(kind: BoundaryKind, t: float, x: PolarPoint,
     comes from the certified truncation bound when it is attainable;
     otherwise the cap N = 60 is used and a single ``TruncationInsufficient``
     warning reports that the run leans on empirical coefficient decay.
+    Each row's ``a1_dist`` is ``a1_distance`` on the polydisc of radius 4.
 
     Returns a list of ``SupershiftRow`` with n ascending.
 
@@ -220,7 +217,8 @@ def supershift_experiment(kind: BoundaryKind, t: float, x: PolarPoint,
     NonConvergence
         From ``build_table``: the table is not finite, its coefficient
         bounds exceed double range (small t against r^2), or its
-        refinement estimate exceeds ten times ``spec.tol``.
+        refinement estimate exceeds ten times ``spec.tol`` on the top
+        level of the node ladder.
     """
     params0 = SuperoscParams(a=a, p1=p1, p2=p2, n=max(n_list))
     a_norm = math.hypot(*params0.a_vec)
@@ -253,7 +251,7 @@ def supershift_experiment(kind: BoundaryKind, t: float, x: PolarPoint,
             acc.add(w * v)
         start += n + 1
         psi_n = complex(acc.value)
-        dist = a1_distance(params, radius=radius, growth=growth, samples=samples)
+        dist = a1_distance(params, radius=4.0, growth=growth)
         log_bound = math.log(dist) + log_c if dist > 0 else -math.inf
         bound = math.exp(log_bound) if log_bound <= log_dbl_max else math.inf
         rows.append(SupershiftRow(

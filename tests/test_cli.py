@@ -64,15 +64,17 @@ def test_invalid_quadrature_spec_is_usage_error(tmp_path, flags):
     assert exc.value.code == 2
 
 
-@pytest.mark.parametrize("flag", ["--rho-max", "--panel-order", "--n-rho", "--n-theta"])
+@pytest.mark.parametrize("flag", ["--rho-max", "--panel-order", "--n-rho", "--n-theta",
+                                  "--radius", "--samples"])
 @pytest.mark.parametrize("argv", [
     ["field", "--t", "1", "--x", "1,0.3", "--plane-wave", "0.5,0.5"],
     ["coeffs", "--t", "1", "--x", "1,0.3", "--order", "3"],
     ["supershift", "--t", "1", "--x", "1,0.3"],
 ])
 def test_radial_cutoff_and_panel_order_are_not_flags(tmp_path, capsys, flag, argv):
-    # R always comes from the tail bound, every panel has 16 nodes and the
-    # node counts come from the fixed ladder
+    # R always comes from the tail bound, every panel has 16 nodes, the
+    # node counts come from the fixed ladder, and supershift's gap a1_dist
+    # is always taken on 6 shells of the radius-4 polydisc
     with pytest.raises(SystemExit) as exc:
         main(argv + [flag, "9", "--out", str(tmp_path / "o.csv")])
     assert exc.value.code == 2
@@ -103,6 +105,18 @@ def test_node_count_config_keys_are_usage_errors(tmp_path, capsys, key):
     assert not (tmp_path / "o.csv").exists()
 
 
+@pytest.mark.parametrize("key", ["radius", "samples"])
+def test_polydisc_config_keys_are_usage_errors(tmp_path, capsys, key):
+    conf = tmp_path / "run.conf"
+    conf.write_text(f"{key} = 4\n")
+    with pytest.raises(SystemExit) as exc:
+        main(["supershift", "--config", str(conf), "--t", "1", "--x", "1,0.3",
+              "--out", str(tmp_path / "o.csv")])
+    assert exc.value.code == 2
+    assert f"{conf}:1: unknown key '{key}'" in capsys.readouterr().err
+    assert not (tmp_path / "o.csv").exists()
+
+
 _FIELD_AT = ["field", "--x", "1,0.3"]
 _SUPERSHIFT_AT = ["supershift", "--t", "1", "--x", "1,0.3"]
 
@@ -121,8 +135,8 @@ def _must_not_run(*args, **kwargs):
                  "--pgm", "PGM", "--gamma", "0"]),
     ("--a", _SUPERSHIFT_AT + ["--a", "nan"]),
     ("--a", _SUPERSHIFT_AT + ["--a", "0.5"]),
-    ("--radius", _SUPERSHIFT_AT + ["--radius", "0"]),
-    ("--samples", _SUPERSHIFT_AT + ["--samples", "0"]),
+    ("--p2", _SUPERSHIFT_AT + ["--p2", "0"]),
+    ("--n-list", _SUPERSHIFT_AT + ["--n-list", "4,0"]),
     ("--p1", _SUPERSHIFT_AT + ["--p1", "0"]),
     ("--t", ["coeffs", "--t", "-1", "--x", "1,0.3", "--order", "3"]),
     ("--t", ["greens", "--t", "inf", "--x", "1,0.3", "--y", "1,1"]),
@@ -450,7 +464,7 @@ def test_table_with_inaccurate_entries_fails_cleanly(tmp_path, capsys):
         rc = main(["field", "--method", "operator", "--t", "0.01", "--x=1,0.3",
                    "--plane-wave", "0.4,-0.3", "--tol", "1e-15", "--out", str(out)])
     assert rc == 1
-    assert "refinement estimate" in capsys.readouterr().err
+    assert "exceeds 10*tol=1.000e-14 (n_rho=384, n_theta=320)" in capsys.readouterr().err
     assert not out.exists()
 
 

@@ -20,8 +20,9 @@ from barrierwaves.evolve import (
     TaylorField,
     WaveSample,
     _LADDER,
+    _PANEL_ORDER,
     _gauss_panels,
-    _gauss_rule,
+    _walk_ladder,
     _FresnelGrid,
     effective_growth_rate,
     eval_datum,
@@ -36,7 +37,7 @@ from barrierwaves.operator import build_table
 
 X = PolarPoint(1.0, math.pi / 2)
 SPEC = QuadratureSpec()
-#: index of the 192x160 level, the one a table is taken on
+#: index of the 192x160 level
 LEVEL_192 = _LADDER.index((192, 160))
 # (t, x, F) at r/sqrt(t) = 6.4: the Neumann value needs the 192x160 level,
 # and a cutoff from a looser kernel envelope leaves it unconverged
@@ -182,21 +183,18 @@ def test_rho_max_rejects_non_finite_arguments(t, B):
         rho_max(SPEC, t, 1.0, B)
 
 
-@pytest.mark.parametrize("order", [2, 5, 16, 32])
-def test_gauss_rule_is_cached_reference_rule(order):
-    x0, w0 = _gauss_rule(order)
-    fresh_x, fresh_w = leggauss(order)
-    assert x0.tobytes() == fresh_x.tobytes()
-    assert w0.tobytes() == fresh_w.tobytes()
-    assert not x0.flags.writeable and not w0.flags.writeable
-    assert _gauss_rule(order)[0] is x0
-    # the composite rule built on it is the one built on a fresh rule
-    nodes, weights = _gauss_panels(0.0, 3.0, 3 * order, order)
-    edges = np.linspace(0.0, 3.0, 4)
+@pytest.mark.parametrize("npan", [2, 5, 16, 32])
+def test_gauss_rule_is_cached_reference_rule(npan):
+    # every panel is the one 16-node reference rule, computed once, scaled
+    # to its interval; a node count is rounded up to whole panels
+    fresh_x, fresh_w = leggauss(_PANEL_ORDER)
+    edges = np.linspace(0.0, 3.0, npan + 1)
     half = 0.5 * (edges[1] - edges[0])
     mids = 0.5 * (edges[1:] + edges[:-1])
-    assert nodes.tobytes() == (mids[:, None] + half * fresh_x[None, :]).ravel().tobytes()
-    assert weights.tobytes() == np.tile(half * fresh_w, 3).tobytes()
+    for n in (_PANEL_ORDER * npan, _PANEL_ORDER * (npan - 1) + 1):
+        nodes, weights = _gauss_panels(0.0, 3.0, n)
+        assert nodes.tobytes() == (mids[:, None] + half * fresh_x[None, :]).ravel().tobytes()
+        assert weights.tobytes() == np.tile(half * fresh_w, npan).tobytes()
 
 
 # ----------------------------------------------------------------------------
@@ -430,6 +428,39 @@ def test_nonconvergence_on_starved_mesh():
     # of levels and names the top one
     with pytest.raises(NonConvergence, match=r"n_rho=384, n_theta=320"):
         psi_fresnel(BoundaryKind.DIRICHLET, 1.0, X, PlaneWave(0.5, 0.5), QuadratureSpec(tol=1e-17))
+
+
+@pytest.mark.parametrize("gaps, start, level", [
+    # the first level within tol stops the walk, and no level above it is evaluated
+    ((1.0, 1e-3, 1e-8, 0.0), 0, 3),
+    # within 10 * tol below the top is not enough: the walk climbs on
+    ((1.0, 1e-3, 5e-7, 1e-12), 0, 4),
+    ((5e-7, 1e-12), 2, 4),
+    # the top level is accepted up to 10 * tol
+    ((1.0, 1.0, 1.0, 9e-7), 0, 4),
+    ((1e-8,), 3, 4),
+])
+def test_walk_ladder_rule(gaps, start, level):
+    # levels hold partial sums, so each gap is the difference to the level below
+    values = np.concatenate([[0.0], np.cumsum(gaps)])
+    calls = []
+
+    def evaluate(i):
+        calls.append(i)
+        return values[i - start]
+
+    value, est, nodes = _walk_ladder(evaluate, lambda fine, coarse: abs(fine - coarse), 1e-7, start)
+    assert (value, nodes) == (values[level - start], _LADDER[level])
+    assert est == abs(values[level - start] - values[level - start - 1])
+    assert calls == list(range(start, level + 1))
+
+
+@pytest.mark.parametrize("top_gap", [1.1e-6, math.nan])
+def test_walk_ladder_raises_on_the_top_level(top_gap):
+    values = [0.0, 1.0, 2.0, 3.0, 3.0 + top_gap]
+    with pytest.raises(NonConvergence, match=r"refinement estimate .* exceeds 10\*tol=1\.000e-06 "
+                       r"\(n_rho=384, n_theta=320\)$"):
+        _walk_ladder(values.__getitem__, lambda fine, coarse: abs(fine - coarse), 1e-7)
 
 
 @pytest.mark.parametrize("t, k, error", [

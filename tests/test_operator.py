@@ -37,6 +37,9 @@ ALPHA = math.pi / 4
 #: (kind, t, x, N) where r/sqrt(t) = 6.8: the 192x160 table differs from
 #: 96x80 by 8.3e-6, above 10 * tol, and the 384x320 one from 192x160 by 2.6e-11
 RESCUED_TABLE = (BoundaryKind.DIRICHLET, 0.603, PolarPoint(5.318, 1.04), 20)
+#: (kind, t, x, N) whose 192x160 table differs from 96x80 by 5.9e-7, above
+#: tol but within 10 * tol; the 384x320 one differs from 192x160 by 9.1e-13
+BAND_TABLE = (BoundaryKind.DIRICHLET, 0.522, PolarPoint(4.574, -0.411), 20)
 
 
 @pytest.fixture(scope="module")
@@ -114,9 +117,22 @@ def test_small_time_table_with_unbounded_coefficients_raises():
 
 def test_inaccurate_table_raises():
     # at t = 0.01 even the top level's estimate, 6e-10, is far above 10 * tol,
-    # and the message names the level the table reached
-    with pytest.raises(NonConvergence, match=r"refinement estimate .* \(n_rho=384, n_theta=320\)"):
+    # and the message, the one psi_fresnel raises, names the level reached
+    with pytest.raises(NonConvergence, match=r"refinement estimate 6\.\d+e-10 exceeds "
+                       r"10\*tol=1\.000e-14 \(n_rho=384, n_theta=320\)"):
         build_table(BoundaryKind.DIRICHLET, 0.01, PolarPoint(1.0, 0.3), 10, QuadratureSpec(tol=1e-15))
+
+
+def test_table_estimate_above_tol_climbs_to_the_top_level():
+    # tables accept a level by psi_fresnel's rule: at most tol, and only the
+    # top level up to 10 * tol, so this table does not stop on 192x160
+    kind, t, x, _ = BAND_TABLE
+    table = build_table(*BAND_TABLE)
+    assert (table.n_rho, table.n_theta) == (384, 320)
+    assert table.est_error <= table.spec.tol
+    k = (0.6, 0.4)
+    ref = psi_fresnel(kind, t, x, PlaneWave(*k)).value
+    assert abs(apply_plane_wave(table, k) - ref) <= 1e-5 * max(1.0, abs(ref))
 
 
 def test_table_inaccurate_at_192_climbs_to_the_top_level():
@@ -191,6 +207,8 @@ def test_alpha_invariance_of_coefficients():
 def test_refinement_estimate_is_small(tables_n10):
     for tab in tables_n10.values():
         assert 0 <= tab.est_error < 1e-9
+        # the first level within tol of the level below, which the table reports
+        assert (tab.n_rho, tab.n_theta) == (192, 160)
 
 
 # ----------------------------------------------------------------------------

@@ -18,7 +18,6 @@ from barrierwaves.evolve import (
     QuadratureSpec,
     TaylorField,
     _LADDER,
-    _PANEL_ORDER,
     _FresnelGrid,
     _gauss_panels,
     effective_growth_rate,
@@ -60,8 +59,8 @@ def _two_term_kernel(kind, t, x, z, theta):
 
 def _two_term_terms(kind, t, x, F, R, n_rho, n_theta):
     """Quadrature summands of one ladder level under the two-term kernel."""
-    u, wu = _gauss_panels(0.0, math.sqrt(R), n_rho, _PANEL_ORDER)
-    th, wth = _gauss_panels(PHI_MIN, PHI_MAX, n_theta, _PANEL_ORDER)
+    u, wu = _gauss_panels(0.0, math.sqrt(R), n_rho)
+    th, wth = _gauss_panels(PHI_MIN, PHI_MAX, n_theta)
     rho = u * u
     z = (rho * complex(math.cos(SPEC.alpha), math.sin(SPEC.alpha)))[:, None]
     G = _two_term_kernel(kind, t, x, z, th[None, :])
@@ -142,9 +141,9 @@ def test_build_table_matches_two_term_moments(kind):
     t, x, N = 0.9, PolarPoint(1.3, 2.2), 20
     table = build_table(kind, t, x, N, SPEC)
     R = rho_max(SPEC, t, x.r, effective_growth_rate(0.0, N + 1, t, SPEC.alpha))
-    # the table's own level, which its 96x80 estimate accepts here
-    u, wu = _gauss_panels(0.0, math.sqrt(R), 192, _PANEL_ORDER)
-    th, wth = _gauss_panels(PHI_MIN, PHI_MAX, 160, _PANEL_ORDER)
+    # the table's own level
+    u, wu = _gauss_panels(0.0, math.sqrt(R), table.n_rho)
+    th, wth = _gauss_panels(PHI_MIN, PHI_MAX, table.n_theta)
     rho = u * u
     z = rho * complex(math.cos(SPEC.alpha), math.sin(SPEC.alpha))
     G = _two_term_kernel(kind, t, x, z[:, None], th[None, :])
