@@ -16,7 +16,7 @@ confirming the eventual decay is forced by the a-priori error bound.
 import math
 import warnings
 
-from barrierwaves import BoundaryKind, PolarPoint, supershift_experiment
+from barrierwaves import BoundaryKind, CoefficientOverflow, PolarPoint, supershift_experiment
 from barrierwaves.operator import TruncationInsufficient
 
 X = PolarPoint(1.0, math.pi / 2)
@@ -34,6 +34,11 @@ for t, n_list in ((0.3, (4, 8, 12, 16)), (1.0, (16, 24, 32, 40))):
         decreasing = all(a.error > b.error for a, b in zip(rows, rows[1:]))
         print(f"strictly decreasing over this window: {decreasing}\n")
 
-print("Orders much beyond 40 are not usable in double precision: the")
-print("superposition weights reach ~1e16 and cancellation consumes all")
-print("significant digits (the library refuses such orders explicitly).")
+print("The weights C_j alternate in sign and grow like a^n, so summing F_n")
+print("cancels about log10(max|C_j|) digits.  superosc_coefficients refuses")
+print("any order whose weights exceed 1e12 (more than 12 of double precision's")
+print("~16 digits): at a = 2, n = 42 is the last usable order.  Asking for 43:")
+try:
+    supershift_experiment(BoundaryKind.DIRICHLET, 1.0, X, n_list=(4, 43))
+except CoefficientOverflow as exc:
+    print(f"  CoefficientOverflow: {exc}")

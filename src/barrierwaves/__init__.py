@@ -62,7 +62,6 @@ from .superosc import (
     SupershiftRow,
     a1_distance,
     closed_form_fn,
-    reliable_order,
     superosc_coefficients,
     superosc_sequence,
     supershift_experiment,
@@ -107,7 +106,6 @@ __all__ = [
     "on_barrier",
     "psi_fresnel",
     "psi_regularized_oracle",
-    "reliable_order",
     "rho_max",
     "schrodinger_residual",
     "superosc_coefficients",

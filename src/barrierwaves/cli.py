@@ -59,7 +59,7 @@ from .operator import (
     build_table,
     truncation_order,
 )
-from .superosc import CoefficientOverflow, reliable_order, supershift_experiment
+from .superosc import CoefficientOverflow, supershift_experiment
 from .validate import run_suites
 
 _FMT = "%.17g"
@@ -533,14 +533,6 @@ def run_supershift(cfg, parser_error) -> int:
     if cfg.x is None or cfg.out is None:
         parser_error("supershift needs --x and --out")
     spec = _spec_from_cfg(cfg, parser_error)
-    wall = reliable_order(cfg.a)
-    if max(cfg.n_list) > wall:
-        print(
-            f"order {max(cfg.n_list)} exceeds the double-precision wall for a={cfg.a}: "
-            f"the alternating coefficients reach {max(cfg.n_list) * math.log10(cfg.a):.0f} "
-            f"digits of cancellation and at most n={wall} keeps ~12 trustworthy digits",
-            file=sys.stderr)
-        return 1
     try:
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", TruncationInsufficient)

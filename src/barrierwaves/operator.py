@@ -147,25 +147,15 @@ def _log_majorant_terms(t: float, r: float, alpha: float, log_weight: float,
     return base + (m + 2) * log_scale + mw + log_S
 
 
-def _log_tail(log_terms, n: int) -> float:
-    """log of sum of log_terms[n+1:] by log-sum-exp; -inf for empty tails."""
-    tail = log_terms[n + 1:]
-    if tail.size == 0:
-        return -math.inf
-    peak = float(tail.max())
-    if peak == -math.inf:
-        return -math.inf
-    return peak + math.log(np.sum(np.exp(tail - peak)))
-
-
 def truncation_order(t: float, r: float, alpha: float, B: float, tol: float) -> int:
     """Smallest N whose certified series tail is below tol.
 
     The tail sums ``coeff_bound(n1,n2) * (e*B)^(n1+n2)`` over n1+n2 > N;
     this is the derivative-bound-weighted majorant of everything the
     operator discards, summed in log space over the default length of
-    ``_log_majorant_terms``.  Every tail with N <= 60 holds the term of
-    order 61, and a log-sum-exp is never below its largest term, so an
+    ``_log_majorant_terms``: one ``logaddexp`` accumulation from the far
+    end gives every tail at once.  Every tail with N <= 60 holds the term
+    of order 61, and a log-sum is never below its largest term, so an
     order-61 term at or above tol rejects the cap from the first 62 terms.
 
     Raises
@@ -188,9 +178,11 @@ def truncation_order(t: float, r: float, alpha: float, B: float, tol: float) -> 
     # the memo makes these entries bitwise equal to those of the long array
     if _log_majorant_terms(t, r, alpha, log_weight, N_CAP + 1)[-1] < log_tol:
         log_terms = _log_majorant_terms(t, r, alpha, log_weight)
-        for n in range(N_CAP + 1):
-            if _log_tail(log_terms, n) < log_tol:
-                return n
+        # suffix[m] = log of the sum of log_terms[m:]; the tail of N is suffix[N + 1]
+        suffix = np.logaddexp.accumulate(log_terms[::-1])[::-1]
+        below = np.flatnonzero(suffix[1:N_CAP + 2] < log_tol)
+        if below.size:
+            return int(below[0])
     raise TailBoundUnsatisfiable(
         f"certified truncation order exceeds the cap {N_CAP} "
         f"(B={B}, t={t}, alpha={alpha}, tol={tol})"

@@ -16,7 +16,6 @@ distance between the data.
 
 from __future__ import annotations
 
-import functools
 import math
 import warnings
 from dataclasses import dataclass
@@ -39,12 +38,12 @@ from .summation import CompensatedSum
 
 SQRT2 = math.sqrt(2.0)
 
-#: coefficient magnitude ceiling before the alternating sum loses all digits
-COEFF_CAP = 1e280
+#: decimal digits the order-one sum of F_n may cancel, of about 16 in a double
+CANCELLED_DIGITS_MAX = 12.0
 
 
 class CoefficientOverflow(ArithmeticError):
-    """The alternating coefficients exceed the representable working range."""
+    """The alternating coefficients are too large to cancel in double precision."""
 
 
 @dataclass(frozen=True)
@@ -74,12 +73,16 @@ def superosc_coefficients(n: int, a: float) -> np.ndarray:
     """C_j(n, a) for j = 0..n, built multiplicatively.
 
     The coefficients alternate in sign and sum to 1; their magnitudes grow
-    like a^n, which is what buys the out-of-band convergence.
+    like a^n, which is what buys the out-of-band convergence.  Summing them
+    to a value of order one cancels about log10(max|C_j|) digits, so this
+    is the one place that decides the usable order: n = 42, 73, 26, 313
+    and 18 are the last for a = 2, 1.5, 3, 1.1 and 5.
 
     Raises
     ------
     CoefficientOverflow
-        If max_j |C_j| exceeds 1e280.
+        If max_j |C_j| exceeds 1e12, i.e. the sum would cancel more than
+        12 digits.
     """
     if n < 1:
         raise ValueError(f"order must be a positive integer, got n={n}")
@@ -87,15 +90,19 @@ def superosc_coefficients(n: int, a: float) -> np.ndarray:
         raise ValueError(f"target frequency must exceed 1, got a={a}")
     up = (1.0 + a) / 2.0
     dn = (1.0 - a) / 2.0
-    c = np.empty(n + 1)
-    c[0] = up ** n
-    with np.errstate(over="ignore", invalid="ignore"):
+    # |C_0| = up^n is one of the weights: an order whose first weight is past
+    # the wall is refused before its n + 1 weights are built
+    log10_peak = n * math.log10(up)
+    if log10_peak <= CANCELLED_DIGITS_MAX:
+        c = np.empty(n + 1)
+        c[0] = up ** n
         for j in range(1, n + 1):
             c[j] = c[j - 1] * (n - j + 1) / j * (dn / up)
-    peak = float(np.abs(c).max())
-    if not peak <= COEFF_CAP:
+        log10_peak = math.log10(float(np.abs(c).max()))
+    if log10_peak > CANCELLED_DIGITS_MAX:
         raise CoefficientOverflow(
-            f"max 1e280 exceeded: max|C_j| = {peak:.3e} at n={n}, a={a}")
+            f"the weights reach 10^{log10_peak:.2f} at n={n}, a={a}: summing F_n would "
+            f"cancel more than {CANCELLED_DIGITS_MAX:.0f} digits")
     return c
 
 
@@ -120,27 +127,6 @@ def closed_form_fn(params: SuperoscParams, z1, z2):
         raise ValueError("closed form requires p1 = p2 = 1")
     w = (np.asarray(z1, dtype=complex) + np.asarray(z2, dtype=complex)) / params.n
     return (np.cos(w) + 1j * params.a * np.sin(w)) ** params.n
-
-
-@functools.lru_cache(maxsize=128)
-def reliable_order(a: float) -> int:
-    """Largest n whose coefficients lose at most 12 decimal digits.
-
-    The F_n sum cancels |C_j| ~ a^n down to order one, so roughly
-    log10(max|C_j|) digits are lost to the cancellation; evaluation in
-    doubles stays trustworthy while that loss is at most 12 digits.
-    Memoized: the search builds one coefficient array per order.
-    """
-    if not a > 1:
-        raise ValueError(f"target frequency must exceed 1, got a={a}")
-    n = 1
-    while True:
-        c = superosc_coefficients(n + 1, a)
-        if math.log10(float(np.abs(c).max())) > 12.0:
-            return n
-        n += 1
-        if n > 2000:
-            return n
 
 
 def a1_distance(params: SuperoscParams, radius: float, growth: float) -> float:
@@ -214,6 +200,10 @@ def supershift_experiment(kind: BoundaryKind, t: float, x: PolarPoint,
 
     Raises
     ------
+    CoefficientOverflow
+        From ``superosc_coefficients``, for an order past the precision
+        wall; the sequences are built first, so this costs no kernel
+        evaluation.
     NonConvergence
         From ``build_table``: the table is not finite, its coefficient
         bounds exceed double range (small t against r^2), or its
@@ -221,6 +211,8 @@ def supershift_experiment(kind: BoundaryKind, t: float, x: PolarPoint,
         level of the node ladder.
     """
     params0 = SuperoscParams(a=a, p1=p1, p2=p2, n=max(n_list))
+    family = [SuperoscParams(a=a, p1=p1, p2=p2, n=n) for n in sorted(n_list)]
+    seqs = [superosc_sequence(params) for params in family]
     a_norm = math.hypot(*params0.a_vec)
     growth = max(SQRT2, a_norm)
     try:
@@ -235,8 +227,6 @@ def supershift_experiment(kind: BoundaryKind, t: float, x: PolarPoint,
     table = build_table(kind, t, x, N, spec)
     log_c = log_continuity_constant(t, x.r, spec.alpha, growth)
     log_dbl_max = math.log(np.finfo(float).max)
-    family = [SuperoscParams(a=a, p1=p1, p2=p2, n=n) for n in sorted(n_list)]
-    seqs = [superosc_sequence(params) for params in family]
     # every atom of every order, then the target: one application of the table
     atoms = np.concatenate([seq.wavevectors for seq in seqs] + [[params0.a_vec]])
     values = apply_plane_wave(table, atoms)

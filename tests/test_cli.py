@@ -491,10 +491,11 @@ def test_supershift_rows_and_bound(tmp_path):
         assert err <= float(r[6]) * math.inf if r[7] == "inf" else err <= float(r[7])
 
 
-def test_supershift_beyond_precision_wall_fails_cleanly(tmp_path, capsys):
+@pytest.mark.parametrize("orders", ["4,48", "4,2000"])
+def test_supershift_beyond_precision_wall_fails_cleanly(tmp_path, capsys, orders):
     out = tmp_path / "s.csv"
     rc = main(["supershift", "--kind", "NEUMANN", "--t", "1.0",
-               "--x", "1,1.5707963267948966", "--n-list", "4,48",
+               "--x", "1,1.5707963267948966", "--n-list", orders,
                "--out", str(out)])
     assert rc == 1
     assert not out.exists()

@@ -311,17 +311,22 @@ def test_truncation_order_unsatisfiable():
         truncation_order(1.0, 1.0, ALPHA, 1.0, 1e-5)
 
 
-def _truncation_order_full_scan(t, r, alpha, B, tol):
-    """The scan of every tail up to the cap, without the early rejection."""
-    x = 4.0 * math.e * B * math.sqrt(t / math.sin(2.0 * alpha))
-    m_max = int(4.0 * x * x + 40.0 * x + 200)
-    log_terms = _log_majorant_terms(t, r, alpha, math.log(math.e * B), m_max)
+def _first_tail_below(log_terms, tol):
+    """The smallest N <= N_CAP whose tail is below tol, one log-sum-exp per order."""
     for n in range(N_CAP + 1):
         tail = log_terms[n + 1:]
         peak = float(tail.max())
         if peak + math.log(np.sum(np.exp(tail - peak))) < math.log(tol):
             return n
     return None
+
+
+def _truncation_order_full_scan(t, r, alpha, B, tol):
+    """The scan of every tail up to the cap, without the early rejection."""
+    x = 4.0 * math.e * B * math.sqrt(t / math.sin(2.0 * alpha))
+    m_max = int(4.0 * x * x + 40.0 * x + 200)
+    return _first_tail_below(
+        _log_majorant_terms(t, r, alpha, math.log(math.e * B), m_max), tol)
 
 
 def test_truncation_order_early_rejection_matches_full_scan():
@@ -338,6 +343,29 @@ def test_truncation_order_early_rejection_matches_full_scan():
                     assert got == want, (t, r, B, tol)
                     outcomes.add(got is None)
     assert outcomes == {True, False}
+
+
+def test_truncation_order_matches_per_order_tail_loop():
+    # the default-length terms, after the order-61 rejection checked above
+    rng = np.random.default_rng(24)
+    certified = 0
+    for _ in range(3000):
+        t = rng.uniform(0.03, 2.5)
+        r = rng.uniform(0.0, 6.0)
+        alpha = rng.uniform(0.2, 1.3)
+        B = 10.0 ** rng.uniform(-3.0, math.log10(3.2))
+        tol = 10.0 ** rng.uniform(-14.0, -3.0)
+        log_weight = math.log(math.e * B)
+        want = None
+        if _log_majorant_terms(t, r, alpha, log_weight, N_CAP + 1)[-1] < math.log(tol):
+            want = _first_tail_below(_log_majorant_terms(t, r, alpha, log_weight), tol)
+        try:
+            got = truncation_order(t, r, alpha, B, tol)
+        except TailBoundUnsatisfiable:
+            got = None
+        assert got == want, (t, r, alpha, B, tol)
+        certified += got is not None
+    assert 300 < certified < 2700
 
 
 # ----------------------------------------------------------------------------

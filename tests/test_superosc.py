@@ -1,5 +1,6 @@
 """Tests for superoscillatory sequences and their evolved supershift."""
 
+import importlib
 import math
 import warnings
 
@@ -24,7 +25,6 @@ from barrierwaves.superosc import (
     SupershiftRow,
     a1_distance,
     closed_form_fn,
-    reliable_order,
     superosc_coefficients,
     superosc_sequence,
     supershift_experiment,
@@ -74,13 +74,17 @@ def test_coefficient_magnitudes_grow_with_order():
 
 
 def test_coefficient_overflow_guard():
-    with pytest.raises(CoefficientOverflow):
-        superosc_coefficients(1200, 2.0)
+    # far past the wall, up to orders whose first weight ((1+a)/2)^n overflows doubles
+    for n in (1200, 2000, 10**6):
+        with pytest.raises(CoefficientOverflow):
+            superosc_coefficients(n, 2.0)
 
 
 def test_order_validation():
     with pytest.raises(ValueError):
         superosc_coefficients(0, 2.0)
+    with pytest.raises(ValueError):
+        superosc_coefficients(4, 1.0)
 
 
 def test_params_validation():
@@ -141,7 +145,7 @@ def test_closed_form_rejects_mixed_powers():
 
 def test_pointwise_limit_toward_target_wave():
     # F_n(z) -> exp(1j a (z1 + z2)); the closed form survives orders where
-    # the explicit coefficient sum has long overflowed.
+    # the explicit coefficient sum is long refused.
     target = np.exp(2j)
     errs = [
         abs(closed_form_fn(SuperoscParams(2.0, 1, 1, n), 1.0, 0.0) - target)
@@ -156,30 +160,24 @@ def test_pointwise_limit_toward_target_wave():
 # ----------------------------------------------------------------------------
 
 
-def test_reliable_order_reference_values():
-    assert reliable_order(2.0) == 42
-    assert reliable_order(1.5) == 73
-    assert reliable_order(3.0) == 26
+@pytest.mark.parametrize("a, last_n", [(2.0, 42), (1.5, 73), (3.0, 26), (1.1, 313), (5.0, 18)])
+def test_precision_wall(a, last_n):
+    # the last order whose sum cancels at most 12 digits passes; the next is refused
+    assert np.abs(superosc_coefficients(last_n, a)).max() <= 1e12
+    with pytest.raises(CoefficientOverflow, match="more than 12 digits"):
+        superosc_coefficients(last_n + 1, a)
 
 
-def test_reliable_order_is_self_validating():
-    for a in (2.0, 3.0):
-        n = reliable_order(a)
-        assert math.log10(float(np.abs(superosc_coefficients(n, a)).max())) <= 12.0
-        assert math.log10(float(np.abs(superosc_coefficients(n + 1, a)).max())) > 12.0
+def test_supershift_past_the_wall_evaluates_no_kernel(monkeypatch):
+    superosc_module = importlib.import_module("barrierwaves.superosc")
 
+    def refuse(*args, **kwargs):
+        raise AssertionError("a table was requested for refused data")
 
-def test_reliable_order_validation():
-    with pytest.raises(ValueError):
-        reliable_order(1.0)
-
-
-def test_reliable_order_is_memoized():
-    reliable_order.cache_clear()
-    first = reliable_order(2.0)
-    assert reliable_order(2.0) == first
-    info = reliable_order.cache_info()
-    assert (info.hits, info.misses) == (1, 1)
+    monkeypatch.setattr(superosc_module, "truncation_order", refuse)
+    monkeypatch.setattr(superosc_module, "build_table", refuse)
+    with pytest.raises(CoefficientOverflow):
+        supershift_experiment(BoundaryKind.DIRICHLET, 0.5, PolarPoint(1.0, 1.2), n_list=(4, 43))
 
 
 # ----------------------------------------------------------------------------

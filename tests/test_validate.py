@@ -42,3 +42,13 @@ def test_fault_injection_is_detected():
     assert "quadrature-stationary" in failed
     # and the tampering does not leak past the restore
     assert all(r.passed for r in run_suites())
+
+
+def test_perturbed_grid_faddeeva_coefficient_is_detected(monkeypatch):
+    # the special-functions suite checks the evaluator every node grid runs,
+    # not only the SciPy reference
+    coeffs = list(greens_module._WEIDEMAN_COEFFS)
+    coeffs[-1] *= 1.0 + 1e-6
+    monkeypatch.setattr(greens_module, "_WEIDEMAN_COEFFS", tuple(coeffs))
+    results = {r.name: r for r in run_suites()}
+    assert not results["special-functions"].passed
