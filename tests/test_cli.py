@@ -491,8 +491,7 @@ def test_supershift_rows_and_bound(tmp_path):
         assert err <= float(r[6]) * math.inf if r[7] == "inf" else err <= float(r[7])
 
 
-@pytest.mark.parametrize("orders", ["4,48", "4,2000"])
-def test_supershift_beyond_precision_wall_fails_cleanly(tmp_path, capsys, orders):
+def _assert_supershift_refused(tmp_path, capsys, orders):
     out = tmp_path / "s.csv"
     rc = main(["supershift", "--kind", "NEUMANN", "--t", "1.0",
                "--x", "1,1.5707963267948966", "--n-list", orders,
@@ -501,6 +500,15 @@ def test_supershift_beyond_precision_wall_fails_cleanly(tmp_path, capsys, orders
     assert not out.exists()
     err = capsys.readouterr().err
     assert "wall" in err or "digits" in err
+
+
+def test_supershift_beyond_precision_wall_fails_cleanly(tmp_path, capsys):
+    _assert_supershift_refused(tmp_path, capsys, "4,48")
+
+
+def test_supershift_far_beyond_precision_wall_fails_cleanly(tmp_path, capsys):
+    # Orders past 2000 once fell through a search limit; the wall refuses them too.
+    _assert_supershift_refused(tmp_path, capsys, "4,2000")
 
 
 # ----------------------------------------------------------------------------
