@@ -59,7 +59,7 @@ from .operator import (
     build_table,
     truncation_order,
 )
-from .superosc import CoefficientOverflow, supershift_experiment
+from .superosc import supershift_experiment
 from .validate import run_suites
 
 _FMT = "%.17g"
@@ -352,13 +352,13 @@ def parse_config(argv) -> argparse.Namespace:
     return cfg
 
 
-def _spec_from_cfg(cfg, parser_error) -> QuadratureSpec:
+def _spec_from_cfg(cfg) -> QuadratureSpec:
     kwargs = {f.name: getattr(cfg, f.name) for f in dataclasses.fields(QuadratureSpec)
               if getattr(cfg, f.name) is not None}
     try:
         return QuadratureSpec(**kwargs)
     except ValueError as exc:
-        parser_error(str(exc))
+        cfg.usage_error(str(exc))
 
 
 def _write_atomic(path, data: bytes) -> None:
@@ -422,37 +422,64 @@ def write_pgm(values, path, component="abs", gamma=1.0) -> None:
     _write_atomic(path, header + pixels.tobytes())
 
 
-def _datum_from_cfg(cfg, parser_error):
+def _datum_from_cfg(cfg):
     if cfg.plane_wave is not None and cfg.taylor is not None:
-        parser_error("give either --plane-wave or --taylor, not both")
+        cfg.usage_error("give either --plane-wave or --taylor, not both")
     if cfg.plane_wave is not None:
         return PlaneWave(cfg.plane_wave[0], cfg.plane_wave[1])
     if cfg.taylor is not None:
         return cfg.taylor
-    parser_error("a datum is required: --plane-wave or --taylor")
+    cfg.usage_error("a datum is required: --plane-wave or --taylor")
+
+
+def _require_settled(table, k, tol) -> None:
+    """Raise ``NonConvergence`` unless the plane-wave series' last two
+    order sums, sum c[n1, m - n1] (ik1)^n1 (ik2)^(m - n1) at m = N - 1 and
+    N, are both at most ``tol``: an uncertified table order is accepted
+    only where its series has settled.  A non-finite sum fails too."""
+    N = table.N
+    n1 = np.arange(N + 1)
+    with np.errstate(over="ignore", invalid="ignore"):
+        pow1 = (1j * k[0]) ** n1
+        pow2 = (1j * k[1]) ** n1
+        last = [abs(np.sum(table.c[n1[:m + 1], m - n1[:m + 1]] * pow1[:m + 1] * pow2[m::-1]))
+                for m in (N - 1, N)]
+    if not (last[0] <= tol and last[1] <= tol):
+        raise NonConvergence(
+            f"the series at k=({k[0]:g}, {k[1]:g}) has not settled at the table cap "
+            f"N={N}: order sums {last[0]:.3e}, {last[1]:.3e} against tol={tol:.3e}")
 
 
 def _operator_value(kind, t, pol, F, spec):
-    """Evolved value at one point through the coefficient table."""
+    """Evolved value at one point through the coefficient table.
+
+    A plane wave whose order ``truncation_order`` cannot certify is summed
+    to the cap N = 60 only if its order-59 and order-60 sums are at most
+    ``spec.tol``; a polynomial is exact once N reaches its degree.
+    """
     A, B, degree = growth_envelope(F)
     try:
         N = truncation_order(t, pol.r, spec.alpha, B, spec.tol)
+        certified = True
     except TailBoundUnsatisfiable:
-        N = N_CAP
+        N, certified = N_CAP, False
     N = min(max(N, degree), N_CAP)
     table = build_table(kind, t, pol, N, spec)
     if isinstance(F, PlaneWave):
-        return apply_plane_wave(table, (F.k1, F.k2))
+        k = (F.k1, F.k2)
+        if not certified:
+            _require_settled(table, k, spec.tol)
+        return apply_plane_wave(table, k)
     return apply_taylor(table, F)
 
 
-def run_field(cfg, parser_error) -> int:
-    F = _datum_from_cfg(cfg, parser_error)
-    spec = _spec_from_cfg(cfg, parser_error)
+def run_field(cfg) -> int:
+    F = _datum_from_cfg(cfg)
+    spec = _spec_from_cfg(cfg)
     if (cfg.grid is None) == (cfg.x is None):
-        parser_error("field needs exactly one of --grid or --x")
+        cfg.usage_error("field needs exactly one of --grid or --x")
     if cfg.out is None and cfg.pgm is None:
-        parser_error("field needs --out and/or --pgm")
+        cfg.usage_error("field needs --out and/or --pgm")
     kind, t = cfg.kind, cfg.t
 
     if cfg.grid is not None:
@@ -482,16 +509,12 @@ def run_field(cfg, parser_error) -> int:
     def compute_row(row):
         return [value_at(pol) for pol in row]
 
-    try:
-        if cfg.method == "quadrature" and radii:
-            # one radial cutoff and one node set for every point of the grid;
-            # the rows' threads share its levels
-            grid = _FresnelGrid(t, F, spec, max(radii))
-        with ThreadPoolExecutor(max_workers=cfg.threads) as pool:
-            grid_rows = list(pool.map(compute_row, polar_rows))
-    except (NonConvergence, TailBoundUnsatisfiable, ArithmeticError) as exc:
-        print(f"field evaluation failed: {exc}", file=sys.stderr)
-        return 1
+    if cfg.method == "quadrature" and radii:
+        # one radial cutoff and one node set for every point of the grid;
+        # the rows' threads share its levels
+        grid = _FresnelGrid(t, F, spec, max(radii))
+    with ThreadPoolExecutor(max_workers=cfg.threads) as pool:
+        grid_rows = list(pool.map(compute_row, polar_rows))
 
     if cfg.out is not None:
         rows = []
@@ -512,36 +535,28 @@ def run_field(cfg, parser_error) -> int:
     return 0
 
 
-def run_coeffs(cfg, parser_error) -> int:
+def run_coeffs(cfg) -> int:
     if cfg.x is None or cfg.order is None or cfg.out is None:
-        parser_error("coeffs needs --x, --order and --out")
+        cfg.usage_error("coeffs needs --x, --order and --out")
     if not 0 <= cfg.order <= N_CAP:
-        parser_error(f"--order must lie in [0, {N_CAP}]")
-    spec = _spec_from_cfg(cfg, parser_error)
-    try:
-        table = build_table(cfg.kind, cfg.t, cfg.x, cfg.order, spec)
-    except (ArithmeticError, ValueError) as exc:
-        print(f"coefficient table failed: {exc}", file=sys.stderr)
-        return 1
+        cfg.usage_error(f"--order must lie in [0, {N_CAP}]")
+    spec = _spec_from_cfg(cfg)
+    table = build_table(cfg.kind, cfg.t, cfg.x, cfg.order, spec)
     rows = [(n1, n2, c.real, c.imag, float(table.bound[n1, n2]))
             for n1, n2, c in table.entries()]
     write_csv(("n1", "n2", "re_c", "im_c", "bound"), rows, cfg.out)
     return 0
 
 
-def run_supershift(cfg, parser_error) -> int:
+def run_supershift(cfg) -> int:
     if cfg.x is None or cfg.out is None:
-        parser_error("supershift needs --x and --out")
-    spec = _spec_from_cfg(cfg, parser_error)
-    try:
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", TruncationInsufficient)
-            result = supershift_experiment(
-                cfg.kind, cfg.t, cfg.x, a=cfg.a, p1=cfg.p1, p2=cfg.p2,
-                n_list=cfg.n_list, spec=spec)
-    except (CoefficientOverflow, NonConvergence, TailBoundUnsatisfiable) as exc:
-        print(f"supershift experiment failed: {exc}", file=sys.stderr)
-        return 1
+        cfg.usage_error("supershift needs --x and --out")
+    spec = _spec_from_cfg(cfg)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", TruncationInsufficient)
+        result = supershift_experiment(
+            cfg.kind, cfg.t, cfg.x, a=cfg.a, p1=cfg.p1, p2=cfg.p2,
+            n_list=cfg.n_list, spec=spec)
     rows = [(r.n, r.psi_n.real, r.psi_n.imag, r.psi_target.real,
              r.psi_target.imag, r.error, r.a1_dist, r.bound)
             for r in result]
@@ -550,14 +565,10 @@ def run_supershift(cfg, parser_error) -> int:
     return 0
 
 
-def run_greens(cfg, parser_error) -> int:
+def run_greens(cfg) -> int:
     if cfg.x is None or cfg.y is None:
-        parser_error("greens needs --x and --y")
-    try:
-        g = greens(cfg.kind, cfg.t, cfg.x, cfg.y)
-    except ValueError as exc:
-        print(f"propagator evaluation failed: {exc}", file=sys.stderr)
-        return 1
+        cfg.usage_error("greens needs --x and --y")
+    g = greens(cfg.kind, cfg.t, cfg.x, cfg.y)
     print(f"{_fmt_real(g.real)} {_fmt_real(g.imag)}")
     if cfg.out is not None:
         write_csv(("re", "im", "abs"), [(g.real, g.imag, abs(g))], cfg.out)
@@ -576,24 +587,32 @@ def run_validate(cfg) -> int:
     return 1 if failed else 0
 
 
+_RUNNERS = {
+    "validate": run_validate,
+    "field": run_field,
+    "coeffs": run_coeffs,
+    "supershift": run_supershift,
+    "greens": run_greens,
+}
+
+
 def main(argv=None) -> int:
+    """Run one command and return its exit status.
+
+    Every refusal of the library is an ``ArithmeticError`` (``NonConvergence``,
+    ``TailBoundUnsatisfiable``, ``CoefficientOverflow``, ``OverflowError``, ...)
+    or a ``ValueError``.  Each ends the run with ``<command> failed: <reason>``
+    and status 1; the runners write their files only after computing every
+    value, so a refused run leaves none.
+    """
     cfg = parse_config(sys.argv[1:] if argv is None else argv)
-    parser_error = cfg.usage_error
     try:
-        if cfg.command == "validate":
-            return run_validate(cfg)
-        if cfg.command == "field":
-            return run_field(cfg, parser_error)
-        if cfg.command == "coeffs":
-            return run_coeffs(cfg, parser_error)
-        if cfg.command == "supershift":
-            return run_supershift(cfg, parser_error)
-        if cfg.command == "greens":
-            return run_greens(cfg, parser_error)
+        return _RUNNERS[cfg.command](cfg)
     except OSError as exc:
         print(f"I/O error: {exc}", file=sys.stderr)
-        return 1
-    raise AssertionError(f"unhandled command {cfg.command}")
+    except (ArithmeticError, ValueError) as exc:
+        print(f"{cfg.command} failed: {exc}", file=sys.stderr)
+    return 1
 
 
 if __name__ == "__main__":

@@ -13,7 +13,8 @@ so a fixed-order panel quadrature converges quickly:
 
 The propagator's reflected term is its direct term at the mirror angle
 pi - th, and th -> pi - th maps the interval onto itself, so with
-z = rho*exp(1j*alpha) and (D, I) the kernel pair of ``greens._kernel_grid``
+z = rho*exp(1j*alpha) and (D, I) = pref*exp(P)*(L(-w1), L(w1)) the kernel
+pair of ``greens._kernel_grid`` (w1 = sqrt(r z) cos((phi-th)/2)/sqrt(it))
 
     psi = exp(2j*alpha) * Int Int [ D(z, th) F(z cos th, z sin th)
                                     + sign * I(z, th) F(-z cos th, z sin th) ]

@@ -5,23 +5,28 @@ with either a Dirichlet or a Neumann condition on the barrier, the
 propagator is
 
     G(t, x, y) = exp(-(r+rho)^2/(4it)) / (8 i pi t)
-                 * [ L(sqrt(r rho) cos((phi-theta)/2) / sqrt(it))
-                     -/+ L(-sqrt(r rho) sin((phi+theta)/2) / sqrt(it)) ]
+                 * [ L(-sqrt(r rho) cos((phi-theta)/2) / sqrt(it))
+                     -/+ L(sqrt(r rho) sin((phi+theta)/2) / sqrt(it)) ]
 
 where ``L`` is the scaled complementary error function (``complexfn.erfcx``),
 ``sqrt(it) = exp(i pi/4) sqrt(t)``, and the minus sign is the Dirichlet
-case.  The same formula continues holomorphically in the radial variable
+case.  This is the half-plane kernel of Carslaw and Sommerfeld continued to
+imaginary time: exp(i|x-y|^2/4t) erfc(-w1) / (8 i pi t) for the direct term,
+with w1 as below, and the same at the mirror source (-y1, y2) for the
+reflected one.  It agrees with the wedge eigenfunction expansion in Bessel
+functions J_{k/2} (tests/test_greens.py).  The same formula continues
+holomorphically in the radial variable
 ``rho -> z`` with Re(z) > 0; rotating ``z = rho*exp(1j*alpha)`` converts the
 radial Fresnel oscillation into Gaussian decay, which is what every
 quadrature in this package integrates.
 
 The reflected term is the direct term at the mirror source angle: with
 w1(theta) = sqrt(r rho) cos((phi-theta)/2) / sqrt(it), the second argument
-is w2(theta) = -w1(pi - theta), and theta -> pi - theta maps the slit
-interval (-pi/2, 3pi/2) onto itself.  The grid kernel therefore returns
-the pair pref*exp(P)*(L(w1), L(-w1)) at each source angle, and callers
-attach the reflected half to the mirrored datum point (-y1, y2) with the
-sign of the boundary condition.
+is w1(pi - theta), and theta -> pi - theta maps the slit interval
+(-pi/2, 3pi/2) onto itself.  The grid kernel therefore returns the pair
+pref*exp(P)*(L(-w1), L(w1)) at each source angle, direct half first, and
+callers attach the reflected half to the mirrored datum point (-y1, y2)
+with the sign of the boundary condition.
 
 Numerical note: L(w) and L(-w) come from one Faddeeva value by
 ``exp(P)*L(-w) = 2*exp(P + w^2) - exp(P)*L(w)`` (DLMF 7.4.2).  The
@@ -41,6 +46,7 @@ stays on SciPy as the independent reference.
 
 from __future__ import annotations
 
+import cmath
 import enum
 import math
 
@@ -179,9 +185,9 @@ def _stable_scaled_erfcx(P, w):
 def _kernel_grid(t: float, x: PolarPoint, z, theta):
     """Direct and image halves of the propagator on the grid of ``z`` and ``theta``.
 
-    Returns ``pref * exp(P) * (L(w1), L(-w1))`` stacked on a leading axis
-    of length 2, where w1 is the direct-term argument at source angle
-    ``theta``.  The propagator at (z, theta) is
+    Returns ``pref * exp(P) * (L(-w1), L(w1))`` stacked on a leading axis
+    of length 2, where w1 = sqrt(r z) cos((phi - theta)/2) / sqrt(it) at
+    source angle ``theta``.  The propagator at (z, theta) is
     ``G[0](theta) + sign * G[1](pi - theta)`` with ``sign`` the boundary
     condition's ``_SIGNS`` entry; grid callers instead pair ``G[1]`` at
     ``theta`` with the datum at the mirror point (-z cos theta, z sin theta).
@@ -202,7 +208,8 @@ def _kernel_grid(t: float, x: PolarPoint, z, theta):
     w1 = sqrt_rz * (np.cos(0.5 * (phi - theta)) * inv_sqrt_it)
     # -(r+z)^2/(4it) = +0.25j*(r+z)^2/t
     P = 0.25j * (r + z) * (r + z) / t
-    pair = _stable_scaled_erfcx(P, w1)
+    # (L(-w1), L(w1)): the direct half first
+    pair = _stable_scaled_erfcx(P, w1)[::-1]
     pair *= 1.0 / (8j * math.pi * t)
     return pair
 
@@ -215,9 +222,20 @@ def greens(kind: BoundaryKind, t: float, x: PolarPoint, y: PolarPoint) -> comple
     x <-> y; vanishes for x on the barrier faces in the Dirichlet case.
     ``x`` and ``y`` may carry the closed barrier angles -pi/2 and 3*pi/2 so
     boundary behaviour can be probed directly.
+
+    Raises
+    ------
+    ValueError
+        If t is not finite and positive, or the value is not finite (its
+        Gaussian factor or its scaled error function overflows, e.g. at
+        y = (1e300, 0.2) or t = 1e-300).
     """
-    G = _kernel_grid(t, x, y.r, (y.phi, math.pi - y.phi))
-    return complex(G[0, 0] + _SIGNS[kind] * G[1, 1])
+    with np.errstate(over="ignore", invalid="ignore"):
+        G = _kernel_grid(t, x, y.r, (y.phi, math.pi - y.phi))
+        g = complex(G[0, 0] + _SIGNS[kind] * G[1, 1])
+    if not cmath.isfinite(g):
+        raise ValueError(f"propagator at t={t}, x={x}, y={y} is not finite")
+    return g
 
 
 def greens_reduced_bound(t: float, r: float, zabs: float) -> float:
@@ -225,7 +243,7 @@ def greens_reduced_bound(t: float, r: float, zabs: float) -> float:
 
     The reduced kernel is the propagator at a rotated radius z (Re z > 0)
     with its Gaussian factor exp(i z^2/(4t)) divided out.  Write the
-    ``_kernel_grid`` pair as pref * exp(P) * (L(w1), L(-w1)) with
+    ``_kernel_grid`` pair as pref * exp(P) * (L(-w1), L(w1)) with
     |pref| = 1/(8 pi t) and z = |z| exp(i alpha).  Without the Gaussian
     factor, Re P = -r |z| sin(alpha)/(2t) <= 0 and
     Re(P + w1^2) = r |z| sin(alpha) cos(phi - theta)/(2t) <= r |z|/(2t).

@@ -11,6 +11,11 @@ with coefficients that are angular/radial moments of the propagator:
                 * Int Int G(t, x, rho*exp(1j*alpha)*(cos th, sin th))
                           * cos(th)^n1 sin(th)^n2 rho^(n1+n2+1)  dth drho
 
+G is read from the kernel pair pref*exp(P)*(L(-w1), L(w1)) of
+``greens._kernel_grid``: its direct half at th, and its image half, which
+belongs to the mirror point (-cos th, sin th), with a factor (-1)^n1 and
+the boundary sign.
+
 Each coefficient obeys the certified bound ``coeff_bound``; a datum with
 derivative growth A*(e*B)^(n1+n2) then gives a convergent series whose
 total is controlled by ``log_continuity_constant``.  All tabulated c share

@@ -16,6 +16,7 @@ distance between the data.
 
 from __future__ import annotations
 
+import cmath
 import math
 import warnings
 from dataclasses import dataclass
@@ -33,7 +34,7 @@ from .operator import (
     log_continuity_constant,
     truncation_order,
 )
-from .evolve import TailBoundUnsatisfiable
+from .evolve import NonConvergence, TailBoundUnsatisfiable
 from .summation import CompensatedSum
 
 SQRT2 = math.sqrt(2.0)
@@ -62,6 +63,12 @@ class SuperoscParams:
             raise ValueError("component powers must be positive integers")
         if self.n < 1:
             raise ValueError(f"order must be a positive integer, got n={self.n}")
+        for p in (self.p1, self.p2):
+            try:
+                self.a ** p
+            except OverflowError:
+                raise ValueError(
+                    f"limit wavevector component a^p = {self.a}^{p} exceeds double range") from None
 
     @property
     def a_vec(self) -> tuple:
@@ -162,6 +169,12 @@ def a1_distance(params: SuperoscParams, radius: float, growth: float) -> float:
     return float((np.abs(fn - target) * weight).max())
 
 
+def _require_finite(value, what: str, params: SuperoscParams, t: float, x: PolarPoint) -> None:
+    if not cmath.isfinite(value):
+        raise NonConvergence(
+            f"{what} is not finite at n={params.n}, a_vec={params.a_vec}, t={t}, x={x}")
+
+
 @dataclass(frozen=True)
 class SupershiftRow:
     """One order of the persistence experiment.
@@ -208,7 +221,11 @@ def supershift_experiment(kind: BoundaryKind, t: float, x: PolarPoint,
         From ``build_table``: the table is not finite, its coefficient
         bounds exceed double range (small t against r^2), or its
         refinement estimate exceeds ten times ``spec.tol`` on the top
-        level of the node ladder.
+        level of the node ladder.  Also when the evolved target, a psi_n
+        or an a1_dist is not finite (a target wave far outside the
+        table's reach, e.g. a^p1 = 2^40).
+    ValueError
+        From ``SuperoscParams``: a^p1 or a^p2 beyond double range.
     """
     params0 = SuperoscParams(a=a, p1=p1, p2=p2, n=max(n_list))
     family = [SuperoscParams(a=a, p1=p1, p2=p2, n=n) for n in sorted(n_list)]
@@ -227,10 +244,13 @@ def supershift_experiment(kind: BoundaryKind, t: float, x: PolarPoint,
     table = build_table(kind, t, x, N, spec)
     log_c = log_continuity_constant(t, x.r, spec.alpha, growth)
     log_dbl_max = math.log(np.finfo(float).max)
-    # every atom of every order, then the target: one application of the table
+    # every atom of every order, then the target: one application of the table;
+    # an overflow shows as a non-finite value, refused below
     atoms = np.concatenate([seq.wavevectors for seq in seqs] + [[params0.a_vec]])
-    values = apply_plane_wave(table, atoms)
+    with np.errstate(over="ignore", invalid="ignore"):
+        values = apply_plane_wave(table, atoms)
     psi_target = complex(values[-1])
+    _require_finite(psi_target, "the evolved target wave", params0, t, x)
     rows = []
     start = 0
     for params, seq in zip(family, seqs):
@@ -241,7 +261,10 @@ def supershift_experiment(kind: BoundaryKind, t: float, x: PolarPoint,
             acc.add(w * v)
         start += n + 1
         psi_n = complex(acc.value)
-        dist = a1_distance(params, radius=4.0, growth=growth)
+        _require_finite(psi_n, "psi_n", params, t, x)
+        with np.errstate(over="ignore", invalid="ignore"):
+            dist = a1_distance(params, radius=4.0, growth=growth)
+        _require_finite(dist, "a1_dist", params, t, x)
         log_bound = math.log(dist) + log_c if dist > 0 else -math.inf
         bound = math.exp(log_bound) if log_bound <= log_dbl_max else math.inf
         rows.append(SupershiftRow(

@@ -121,7 +121,7 @@ def _suite_propagator_pde() -> SuiteResult:
     pref = 1.0 / (8j * math.pi * 0.7)
     w1 = (cmath.sqrt(a.r * b.r) * math.cos((a.phi - b.phi) / 2)
           * cmath.exp(-0.25j * math.pi) / math.sqrt(0.7))
-    free = pref * cmath.exp(0.25j * d2 / 0.7 - w1 * w1) * complexfn.erfcx(w1)
+    free = pref * cmath.exp(0.25j * d2 / 0.7 - w1 * w1) * complexfn.erfcx(-w1)
     worst = max(worst, abs(0.5 * (gd + gn) - free) / abs(free))
     return SuiteResult("propagator-pde", worst, 2e-4)
 

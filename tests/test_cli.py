@@ -396,6 +396,22 @@ def test_field_single_point(tmp_path):
     assert len(rows) == 1
 
 
+@pytest.mark.parametrize("k, last", [("4,0", "1.370e+05"), ("3,0", "5.827e-03"),
+                                     ("1e308+1e308j,0", "nan")])
+# e * |k| overflows in truncation_order's log weight at |k| = 1.4e308
+@pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+def test_field_operator_refuses_unsettled_series_at_the_cap(tmp_path, capsys, k, last):
+    # no certified order exists for these waves, and at N = 60 the order-59
+    # sum is far above tol: k = (4, 0) would be 1e5 off, k = (3, 0) 2.5e-3
+    out = tmp_path / "f.csv"
+    rc = main(["field", "--method", "operator", "--kind", "neumann", "--t", "1",
+               "--x", "1,0.3", f"--plane-wave={k}", "--out", str(out)])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("field failed: ") and f"order sums {last}" in err
+    assert not out.exists()
+
+
 # ----------------------------------------------------------------------------
 # coeffs subcommand
 # ----------------------------------------------------------------------------
@@ -422,7 +438,7 @@ def test_coeffs_non_finite_table_fails_cleanly(tmp_path, capsys):
     with np.errstate(all="ignore"):
         rc = main(["coeffs", "--t", "1e-4", "--x", "1,0.3", "--order", "4", "--out", str(out)])
     assert rc == 1
-    assert "coefficient table failed" in capsys.readouterr().err
+    assert "coeffs failed:" in capsys.readouterr().err
     assert not out.exists()
 
 
@@ -436,7 +452,7 @@ def test_coeffs_overflow_prints_no_runtime_warning(tmp_path):
          "--t", "1e-4", "--x=1,0.3", "--order", "20", "--out", str(tmp_path / "c.csv")],
         capture_output=True, text=True, env=env, cwd=tmp_path)
     assert proc.returncode == 1
-    assert "coefficient table failed" in proc.stderr
+    assert "coeffs failed:" in proc.stderr
     assert "Warning" not in proc.stderr
 
 
@@ -511,6 +527,22 @@ def test_supershift_far_beyond_precision_wall_fails_cleanly(tmp_path, capsys):
     _assert_supershift_refused(tmp_path, capsys, "4,2000")
 
 
+@pytest.mark.parametrize("p1, reason", [("40", "target wave is not finite"),
+                                         ("2000", "exceeds double range")])
+def test_supershift_refuses_a_limit_wave_out_of_range(tmp_path, p1, reason):
+    # (2^40, 2) overflows the table's series, 2^2000 the double itself; in
+    # a fresh interpreter the refusal is one line, with no traceback
+    env = dict(os.environ, PYTHONPATH=str(Path(barrierwaves.__file__).parents[1]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "barrierwaves.cli", "supershift", "--t", "1", "--x=1,0.3",
+         "--p1", p1, "--out", str(tmp_path / "s.csv")],
+        capture_output=True, text=True, env=env, cwd=tmp_path)
+    assert proc.returncode == 1
+    assert proc.stderr.startswith("supershift failed: ") and reason in proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert list(tmp_path.iterdir()) == []
+
+
 # ----------------------------------------------------------------------------
 # greens subcommand
 # ----------------------------------------------------------------------------
@@ -535,6 +567,17 @@ def test_greens_optional_csv(tmp_path):
     assert header == ["re", "im", "abs"]
     re, im, mag = (float(v) for v in rows[0])
     assert mag == pytest.approx(abs(complex(re, im)), rel=1e-12)
+
+
+@pytest.mark.parametrize("t, y", [("1", "1e300,0.2"), ("1e-300", "1,0.2")])
+def test_greens_refuses_a_non_finite_value(tmp_path, capsys, t, y):
+    out = tmp_path / "g.csv"
+    rc = main(["greens", "--t", t, "--x", "1,0.3", "--y", y, "--out", str(out)])
+    assert rc == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("greens failed: ") and "not finite" in captured.err
+    assert not out.exists()
 
 
 # ----------------------------------------------------------------------------

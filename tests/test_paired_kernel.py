@@ -46,7 +46,7 @@ def _scaled_erfcx(P, w):
 
 
 def _two_term_kernel(kind, t, x, z, theta):
-    """pref * exp(P) * [L(w1) + sign * L(w2)] on the grid of z and theta."""
+    """pref * exp(P) * [L(-w1) + sign * L(-w2)] on the grid of z and theta."""
     r, phi = x.r, x.phi
     sqrt_rz = np.sqrt(r * np.asarray(z, dtype=complex))
     inv_sqrt_it = np.exp(-0.25j * math.pi) / math.sqrt(t)
@@ -54,7 +54,7 @@ def _two_term_kernel(kind, t, x, z, theta):
     w2 = -sqrt_rz * np.sin(0.5 * (phi + theta)) * inv_sqrt_it
     P = 0.25j * (r + z) * (r + z) / t
     sign = -1.0 if kind is BoundaryKind.DIRICHLET else 1.0
-    return (_scaled_erfcx(P, w1) + sign * _scaled_erfcx(P, w2)) / (8j * math.pi * t)
+    return (_scaled_erfcx(P, -w1) + sign * _scaled_erfcx(P, -w2)) / (8j * math.pi * t)
 
 
 def _two_term_terms(kind, t, x, F, R, n_rho, n_theta):

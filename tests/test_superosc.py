@@ -10,7 +10,7 @@ import pytest
 from barrierwaves.evolve import PlaneWave, QuadratureSpec, eval_datum, growth_envelope, psi_fresnel
 from barrierwaves.geometry import PolarPoint
 from barrierwaves.greens import BoundaryKind
-from barrierwaves.evolve import TailBoundUnsatisfiable
+from barrierwaves.evolve import NonConvergence, TailBoundUnsatisfiable
 from barrierwaves.operator import (
     N_CAP,
     TruncationInsufficient,
@@ -96,6 +96,12 @@ def test_params_validation():
         SuperoscParams(2.0, 1, 1, 0)
     p = SuperoscParams(2.0, 1, 2, 4)
     assert p.a_vec == pytest.approx((2.0, 4.0))
+
+
+@pytest.mark.parametrize("p1, p2", [(2000, 1), (1, 1100)])
+def test_params_reject_limit_beyond_double_range(p1, p2):
+    with pytest.raises(ValueError, match="exceeds double range"):
+        SuperoscParams(2.0, p1, p2, 4)
 
 
 # ----------------------------------------------------------------------------
@@ -279,6 +285,15 @@ def test_experiment_target_is_out_of_band_wave(neumann_rows):
     rows, _ = neumann_rows
     # every row shares the same evolved target
     assert rows[0].psi_target == rows[1].psi_target == rows[2].psi_target
+
+
+def test_experiment_refuses_a_target_beyond_the_table():
+    # the limit wave (2^40, 2) overflows the order-60 series, and its gap
+    # a1_dist on the polydisc too: no row may carry a NaN or a zero bound
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", TruncationInsufficient)
+        with pytest.raises(NonConvergence, match="target wave is not finite"):
+            supershift_experiment(BoundaryKind.DIRICHLET, 1.0, PolarPoint(1.0, 0.3), p1=40)
 
 
 def test_experiment_matches_per_atom_fsum_reference():
