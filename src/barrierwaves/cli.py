@@ -16,12 +16,13 @@ flag name with ``_`` for ``-`` (``plane_wave = 0.5,0.5`` stands for
 checks; keys that only other subcommands take are ignored.  Exit codes:
 0 success, 1 runtime failure, 2 usage error.  Output files are written
 through a temporary sibling and renamed, so failed runs leave nothing
-behind.  Grid rows are processed in a thread pool.  With ``--method
-quadrature`` every point of the grid shares one radial cutoff (that of its
-largest radius) and one node set per ladder level, each level built once,
-under a lock, by whichever thread first needs it.  Per-point arithmetic is
-identical regardless of worker count, so repeated runs are byte-identical
-for any ``--threads`` value.
+behind.  Grid rows are processed in a thread pool.  Every point of the
+grid shares one radial cutoff (that of its largest radius) and one node
+set per ladder level, each level built once, under a lock, by whichever
+thread first needs it; ``--method operator`` sums the operator series
+order by order on those nodes.  Per-point arithmetic is identical
+regardless of worker count, so repeated runs are byte-identical for any
+``--threads`` value.
 """
 
 from __future__ import annotations
@@ -54,8 +55,10 @@ from .evolve import (
 from .operator import (
     N_CAP,
     TruncationInsufficient,
-    apply_plane_wave,
-    apply_taylor,
+    _bound_table,
+    # unused here: wrap targets of bench/tracing.py, held by tests/test_bench_contract.py
+    apply_plane_wave,  # noqa: F401
+    apply_taylor,  # noqa: F401
     build_table,
     truncation_order,
 )
@@ -432,45 +435,38 @@ def _datum_from_cfg(cfg):
     cfg.usage_error("a datum is required: --plane-wave or --taylor")
 
 
-def _require_settled(table, k, tol) -> None:
-    """Raise ``NonConvergence`` unless the plane-wave series' last two
-    order sums, sum c[n1, m - n1] (ik1)^n1 (ik2)^(m - n1) at m = N - 1 and
-    N, are both at most ``tol``: an uncertified table order is accepted
-    only where its series has settled.  A non-finite sum fails too."""
-    N = table.N
-    n1 = np.arange(N + 1)
-    with np.errstate(over="ignore", invalid="ignore"):
-        pow1 = (1j * k[0]) ** n1
-        pow2 = (1j * k[1]) ** n1
-        last = [abs(np.sum(table.c[n1[:m + 1], m - n1[:m + 1]] * pow1[:m + 1] * pow2[m::-1]))
-                for m in (N - 1, N)]
-    if not (last[0] <= tol and last[1] <= tol):
-        raise NonConvergence(
-            f"the series at k=({k[0]:g}, {k[1]:g}) has not settled at the table cap "
-            f"N={N}: order sums {last[0]:.3e}, {last[1]:.3e} against tol={tol:.3e}")
+def _series_order(t, r, F, spec) -> tuple[int, bool]:
+    """(N, certified): the operator series' order at radius ``r``.
 
-
-def _operator_value(kind, t, pol, F, spec):
-    """Evolved value at one point through the coefficient table.
-
-    A plane wave whose order ``truncation_order`` cannot certify is summed
-    to the cap N = 60 only if its order-59 and order-60 sums are at most
-    ``spec.tol``; a polynomial is exact once N reaches its degree.
+    A plane wave takes the order ``truncation_order`` certifies, or the cap
+    N = 60 uncertified; a polynomial is exact once N reaches its degree.
     """
-    A, B, degree = growth_envelope(F)
+    _, B, degree = growth_envelope(F)
+    if degree > N_CAP:
+        raise ValueError(f"datum degree {degree} exceeds table order {N_CAP}")
     try:
-        N = truncation_order(t, pol.r, spec.alpha, B, spec.tol)
-        certified = True
+        N = truncation_order(t, r, spec.alpha, B, spec.tol)
     except TailBoundUnsatisfiable:
-        N, certified = N_CAP, False
-    N = min(max(N, degree), N_CAP)
-    table = build_table(kind, t, pol, N, spec)
-    if isinstance(F, PlaneWave):
-        k = (F.k1, F.k2)
-        if not certified:
-            _require_settled(table, k, spec.tol)
-        return apply_plane_wave(table, k)
-    return apply_taylor(table, F)
+        return N_CAP, False
+    return min(max(N, degree), N_CAP), True
+
+
+def _series_value(grid, kind, pol) -> complex:
+    """Evolved value at one point of ``grid`` through the operator series.
+
+    An uncertified series at the cap is accepted only where it has
+    settled: its order-59 and order-60 sums on the accepted ladder level
+    must both be at most the spec's ``tol``; a non-finite sum fails too.
+    """
+    F, tol = grid.F, grid.spec.tol
+    N, certified = _series_order(grid.t, pol.r, F, grid.spec)
+    sample, sums = grid.series_sample(kind, pol, N)
+    last = np.abs(sums[-2:])
+    if not (certified or (last <= tol).all()):
+        raise NonConvergence(
+            f"the series at k=({F.k1:g}, {F.k2:g}) has not settled at the table cap "
+            f"N={N}: order sums {last[0]:.3e}, {last[1]:.3e} against tol={tol:.3e}")
+    return sample.value
 
 
 def run_field(cfg) -> int:
@@ -503,16 +499,21 @@ def run_field(cfg) -> int:
         if pol is None:
             return None
         if cfg.method == "operator":
-            return _operator_value(kind, t, pol, F, spec)
+            return _series_value(grid, kind, pol)
         return grid.sample(kind, pol).value
 
     def compute_row(row):
         return [value_at(pol) for pol in row]
 
-    if cfg.method == "quadrature" and radii:
+    if radii:
         # one radial cutoff and one node set for every point of the grid;
         # the rows' threads share its levels
-        grid = _FresnelGrid(t, F, spec, max(radii))
+        r_max = max(radii)
+        grid = _FresnelGrid(t, F, spec, r_max)
+        if cfg.method == "operator":
+            # the bounds grow with r and with the order, which grows with r:
+            # the largest radius refuses for every point, before any kernel call
+            _bound_table(t, r_max, spec.alpha, _series_order(t, r_max, F, spec)[0])
     with ThreadPoolExecutor(max_workers=cfg.threads) as pool:
         grid_rows = list(pool.map(compute_row, polar_rows))
 

@@ -53,7 +53,9 @@ alone, apart from the cutoff's growth with r.  A batch of points (a
 bounds the tail of every point of the batch, and builds each ladder level
 it reaches once, with the datum already multiplied by the weights
 (``_FresnelGrid``).  A point then costs one kernel grid and one
-product-sum per level, and still stops at its own level.
+product-sum per level, and still stops at its own level.  The operator
+series of ``field --method operator`` walks the same levels, with the
+datum's derivatives of each order in place of the datum.
 """
 
 from __future__ import annotations
@@ -389,6 +391,36 @@ def _walk_ladder(evaluate, gap, tol: float, start: int = 0):
     return fine, est, _LADDER[i]
 
 
+def _directional_derivatives(F: InitialDatum, u1, u2, N: int) -> np.ndarray:
+    """d^m/ds^m F(s u) at s = 0 for m = 0..N, stacked on a leading axis.
+
+    For a plane wave this is (1j k.u)^m; for a Taylor datum, m! times its
+    homogeneous part of degree m at u.  ``u1`` and ``u2`` broadcast.
+
+    Raises
+    ------
+    TypeError
+        For a datum that is neither a ``PlaneWave`` nor a ``TaylorField``.
+    """
+    u1 = np.asarray(u1, dtype=complex)
+    u2 = np.asarray(u2, dtype=complex)
+    out = np.zeros((N + 1,) + np.broadcast(u1, u2).shape, dtype=complex)
+    if isinstance(F, PlaneWave):
+        out[0] = 1.0
+        out[1:] = 1j * (F.k1 * u1 + F.k2 * u2)
+        return np.cumprod(out, axis=0, out=out)
+    if isinstance(F, TaylorField):
+        c = F.coeffs
+        fact = 1.0
+        for m in range(N + 1):
+            fact *= max(m, 1)
+            for n1 in range(max(0, m - c.shape[1] + 1), min(m, c.shape[0] - 1) + 1):
+                out[m] += c[n1, m - n1] * u1 ** n1 * u2 ** (m - n1)
+            out[m] *= fact
+        return out
+    raise TypeError(f"no operator series for datum {F!r}")
+
+
 class _FresnelGrid:
     """Rotated-contour quadrature shared by every point of one grid.
 
@@ -400,6 +432,21 @@ class _FresnelGrid:
     built on first use, once, under a lock, so threads that share the grid
     read the same read-only arrays.  Per point and level only the kernel
     and one product-sum remain.
+
+    The same cutoff and nodes serve the operator series sum_{m<=N} S_m,
+    S_m = sum_{n1+n2=m} c_{n1,n2} d^{n1+n2}F(0) (``series_sample``).  With
+    a_m(u) = d^m/ds^m F(s u) at s = 0 and e = exp(1j alpha),
+
+        S_m = exp(2j alpha) * sum_{rho, th} w_rho rho^m / m! * w_th
+              * (D a_m(e (cos th, sin th)) + sign * I a_m(e (-cos th, sin th)))
+
+    which is the coefficients' moment formula (``operator``) contracted
+    with the datum's derivatives; the image half takes the mirrored
+    direction, as the quadrature takes the mirrored datum.  Each level
+    keeps the radial factors w_rho rho^m / m! and both halves' angular
+    factors w_th a_m, m = 0..N, once per order N.  A plane wave's truncated
+    series is bounded by exp(|k| |z|), and a Taylor datum's series of its
+    degree is the datum, so the quadrature's cutoff bounds it as well.
 
     Raises
     ------
@@ -418,18 +465,22 @@ class _FresnelGrid:
         self.t, self.F, self.spec, self.r_max = t, F, spec, r_max
         self.rho_max = rho_max(tail_spec, t, r_max, B_eff)
         self._phase = complex(math.cos(2.0 * spec.alpha), math.sin(2.0 * spec.alpha))
-        self._levels = [None] * len(_LADDER)
+        self._levels = {}
         self._lock = threading.Lock()
+
+    def _cached(self, key, build):
+        """The level stored under ``key``, built by ``build()`` on first use."""
+        level = self._levels.get(key)
+        if level is None:
+            with self._lock:
+                level = self._levels.get(key)
+                if level is None:
+                    level = self._levels[key] = build()
+        return level
 
     def level(self, i: int):
         """(z column, theta row, weighted datum pair) of ladder level ``i``."""
-        level = self._levels[i]
-        if level is None:
-            with self._lock:
-                level = self._levels[i]
-                if level is None:
-                    level = self._levels[i] = self._build(*_LADDER[i])
-        return level
+        return self._cached(i, lambda: self._build(*_LADDER[i]))
 
     def _build(self, n_rho: int, n_theta: int):
         _, z, w_rho, th, wth = _polar_rule(self.rho_max, n_rho, n_theta, self.spec.alpha)
@@ -438,6 +489,26 @@ class _FresnelGrid:
         datum *= w_rho[:, None] * wth[None, :]
         datum.setflags(write=False)
         return z, th, datum
+
+    def series_level(self, i: int, N: int):
+        """(z column, theta row, radial powers, angular factors) of ladder
+        level ``i`` for the operator series to order ``N``."""
+        return self._cached((i, N), lambda: self._build_series(*_LADDER[i], N))
+
+    def _build_series(self, n_rho: int, n_theta: int, N: int):
+        rho, z, w_rho, th, wth = _polar_rule(self.rho_max, n_rho, n_theta, self.spec.alpha)
+        # w rho^(m+1) / m!: w_rho already carries the first power
+        radial = np.empty((N + 1, n_rho))
+        radial[0] = w_rho
+        radial[1:] = rho / np.arange(1, N + 1)[:, None]
+        np.cumprod(radial, axis=0, out=radial)
+        # the image half sits at the mirror point (-z1, z2)
+        rot = complex(math.cos(self.spec.alpha), math.sin(self.spec.alpha))
+        u1 = np.multiply.outer((rot, -rot), np.cos(th))
+        angular = _directional_derivatives(self.F, u1, rot * np.sin(th), N).transpose(1, 0, 2) * wth
+        radial.setflags(write=False)
+        angular.setflags(write=False)
+        return z[:, None], th[None, :], radial, angular
 
     def quad_value(self, kind: BoundaryKind, x: PolarPoint, i: int) -> tuple[complex, float]:
         """One tensor quadrature pass on ladder level ``i``: (value, sum of |terms|).
@@ -451,10 +522,41 @@ class _FresnelGrid:
         direct, image = terms.sum(axis=(1, 2))
         return self._phase * complex(direct + kind.sign * image), float(np.abs(terms).sum())
 
+    def series_value(self, kind: BoundaryKind, x: PolarPoint, i: int, N: int):
+        """The operator series to order ``N`` on ladder level ``i``:
+        (value, sum of |terms|, order sums S_0..S_N).
+
+        One kernel grid, one radial matmul for both halves and one angular
+        contraction give every S_m; the terms are the products of the
+        angular contraction.
+        """
+        z, th, radial, angular = self.series_level(i, N)
+        G = _kernel_grid(self.t, x, z, th)
+        # a real matrix times the complex grid, as (re, im) pairs of columns
+        terms = (radial @ G.view(float)).view(complex)
+        terms *= angular
+        direct, image = terms.sum(axis=-1)
+        sums = self._phase * (direct + kind.sign * image)
+        return complex(sums.sum()), float(np.abs(terms).sum()), sums
+
     def sample(self, kind: BoundaryKind, x: PolarPoint) -> WaveSample:
         """Walk the ladder at ``x``, whose radius is at most ``r_max``, up to
         its first converged level; a level is built only when some point
         reaches it."""
+        return self._walk(kind, x, lambda i: self.quad_value(kind, x, i))[0]
+
+    def series_sample(self, kind: BoundaryKind, x: PolarPoint, N: int
+                      ) -> tuple[WaveSample, np.ndarray]:
+        """The operator series to order ``N`` at ``x``, judged on the ladder
+        by the rule of ``sample``: its sample, and its order sums S_0..S_N
+        on the returned level.  The datum must be a ``PlaneWave`` or a
+        ``TaylorField``, and a Taylor datum's degree at most ``N``."""
+        sample, (_, _, sums) = self._walk(kind, x, lambda i: self.series_value(kind, x, i, N))
+        return sample, sums
+
+    def _walk(self, kind: BoundaryKind, x: PolarPoint, evaluate):
+        """The sample of the first converged level at ``x`` and that level's
+        (value, sum of |terms|, ...) from ``evaluate``."""
         def gap(fine, coarse):
             try:
                 # a difference below the rounding of the sum itself says nothing
@@ -462,10 +564,9 @@ class _FresnelGrid:
             except OverflowError:
                 return math.inf
 
-        (value, _), est, (n_rho, n_theta) = _walk_ladder(
-            lambda i: self.quad_value(kind, x, i), gap, self.spec.tol)
-        return WaveSample(value=value, est_error=est, t=self.t, x=x, kind=kind,
-                          rho_max=self.rho_max, n_rho=n_rho, n_theta=n_theta)
+        fine, est, (n_rho, n_theta) = _walk_ladder(evaluate, gap, self.spec.tol)
+        return WaveSample(value=fine[0], est_error=est, t=self.t, x=x, kind=kind,
+                          rho_max=self.rho_max, n_rho=n_rho, n_theta=n_theta), fine
 
 
 def psi_fresnel(kind: BoundaryKind, t: float, x: PolarPoint | Sequence[PolarPoint],

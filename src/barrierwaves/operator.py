@@ -21,7 +21,9 @@ derivative growth A*(e*B)^(n1+n2) then gives a convergent series whose
 total is controlled by ``log_continuity_constant``.  All tabulated c share
 one propagator evaluation on the node set of ``evolve._polar_rule``, so the
 operator route and the direct quadrature route differ only in the
-angular/radial weights.
+angular/radial weights.  ``field --method operator`` tabulates nothing:
+``evolve._FresnelGrid.series_sample`` contracts the same moments with the
+datum's derivatives order by order, on the quadrature's own nodes.
 
 The table order is capped at N = 60 (``N_CAP``).
 """
@@ -194,6 +196,29 @@ def truncation_order(t: float, r: float, alpha: float, B: float, tol: float) -> 
     )
 
 
+def _bound_table(t: float, r: float, alpha: float, N: int) -> np.ndarray:
+    """``coeff_bound`` of every order n1 + n2 <= N at radius r, as an
+    (N + 1) x (N + 1) array with zeros past the order.
+
+    Raises
+    ------
+    NonConvergence
+        If a bound exceeds double range: for small t the factor
+        exp(9 r^2 / (2 t sin 2alpha)) leaves it, whatever N.  Callers check
+        this before any kernel evaluation.
+    ValueError
+        If t is not finite and positive.
+    """
+    n1g, n2g = np.meshgrid(np.arange(N + 1), np.arange(N + 1), indexing="ij")
+    valid = n1g + n2g <= N
+    bound = np.zeros((N + 1, N + 1))
+    bound[valid] = coeff_bound(t, r, alpha, n1g[valid], n2g[valid])
+    if np.isinf(bound).any():
+        raise NonConvergence(
+            f"coefficient bounds at t={t}, r={r}, N={N} exceed double range")
+    return bound
+
+
 @dataclass(frozen=True, eq=False)
 class CoeffTable:
     """Tabulated operator coefficients c_{n1,n2}, n1+n2 <= N, at one (t, x).
@@ -255,15 +280,10 @@ def build_table(kind: BoundaryKind, t: float, x: PolarPoint, N: int,
     """
     if not 0 <= N <= N_CAP:
         raise ValueError(f"table order must lie in [0, {N_CAP}], got {N}")
-    _check_time(t)
+    bound = _bound_table(t, x.r, spec.alpha, N)
     n1g, n2g = np.meshgrid(np.arange(N + 1), np.arange(N + 1), indexing="ij")
     mg = n1g + n2g
     valid = mg <= N
-    bound = np.zeros((N + 1, N + 1))
-    bound[valid] = coeff_bound(t, x.r, spec.alpha, n1g[valid], n2g[valid])
-    if np.isinf(bound).any():
-        raise NonConvergence(
-            f"coefficient bounds at t={t}, r={x.r}, N={N} exceed double range")
     B_eff = effective_growth_rate(0.0, N + 1, t, spec.alpha)
     R = rho_max(spec, t, x.r, B_eff)
 

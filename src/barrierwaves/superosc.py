@@ -42,6 +42,10 @@ SQRT2 = math.sqrt(2.0)
 #: decimal digits the order-one sum of F_n may cancel, of about 16 in a double
 CANCELLED_DIGITS_MAX = 12.0
 
+#: largest order n: ``supershift_experiment`` holds about 3.1 kB per atom,
+#: so the n + 1 atoms of n = 2^16 peak near 210 MB
+_ORDER_MAX = 1 << 16
+
 
 class CoefficientOverflow(ArithmeticError):
     """The alternating coefficients are too large to cancel in double precision."""
@@ -90,6 +94,11 @@ def superosc_coefficients(n: int, a: float) -> np.ndarray:
     CoefficientOverflow
         If max_j |C_j| exceeds 1e12, i.e. the sum would cancel more than
         12 digits.
+    ValueError
+        If n is not a positive integer, or a is not above 1, or n exceeds
+        2^16 with a first weight below the wall (a close to 1), the bound
+        that keeps the memory of its atoms in check.  Checked before any
+        array is built.
     """
     if n < 1:
         raise ValueError(f"order must be a positive integer, got n={n}")
@@ -101,6 +110,9 @@ def superosc_coefficients(n: int, a: float) -> np.ndarray:
     # the wall is refused before its n + 1 weights are built
     log10_peak = n * math.log10(up)
     if log10_peak <= CANCELLED_DIGITS_MAX:
+        if n > _ORDER_MAX:
+            raise ValueError(
+                f"order n={n} exceeds {_ORDER_MAX}, the memory bound on its n + 1 atoms")
         c = np.empty(n + 1)
         c[0] = up ** n
         for j in range(1, n + 1):

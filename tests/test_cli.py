@@ -398,17 +398,17 @@ def test_field_single_point(tmp_path):
 
 @pytest.mark.parametrize("k, last", [("4,0", "1.370e+05"), ("3,0", "5.827e-03"),
                                      ("1e308+1e308j,0", "nan")])
-# e * |k| overflows in truncation_order's log weight at |k| = 1.4e308
-@pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
 def test_field_operator_refuses_unsettled_series_at_the_cap(tmp_path, capsys, k, last):
     # no certified order exists for these waves, and at N = 60 the order-59
-    # sum is far above tol: k = (4, 0) would be 1e5 off, k = (3, 0) 2.5e-3
+    # sum is far above tol: k = (4, 0) would be 1e5 off, k = (3, 0) 2.5e-3;
+    # |k| = 1.4e308 has no radial cutoff, so it is refused before any sum
     out = tmp_path / "f.csv"
     rc = main(["field", "--method", "operator", "--kind", "neumann", "--t", "1",
                "--x", "1,0.3", f"--plane-wave={k}", "--out", str(out)])
     assert rc == 1
     err = capsys.readouterr().err
-    assert err.startswith("field failed: ") and f"order sums {last}" in err
+    reason = "no radial cutoff below 10000.0" if last == "nan" else f"order sums {last}"
+    assert err.startswith("field failed: ") and reason in err
     assert not out.exists()
 
 
@@ -472,6 +472,19 @@ def test_table_with_unbounded_coefficients_fails_cleanly(tmp_path, capsys, argv)
     assert not out.exists()
 
 
+def test_operator_field_with_unbounded_coefficients_evaluates_no_kernel(tmp_path, capsys, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a kernel was evaluated for a refused grid")
+
+    monkeypatch.setattr(importlib.import_module("barrierwaves.evolve"), "_kernel_grid", refuse)
+    out = tmp_path / "o.csv"
+    rc = main(["field", "--method", "operator", "--plane-wave", "1,0.5", "--t", "1e-3",
+               "--grid", "-1:1:3,0.1:1:3", "--threads", "2", "--out", str(out)])
+    assert rc == 1
+    assert "exceed double range" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_table_with_inaccurate_entries_fails_cleanly(tmp_path, capsys):
     # at t = 0.01 even the top level's refinement estimate, 9e-10, is far
     # above the tolerance
@@ -525,6 +538,18 @@ def test_supershift_beyond_precision_wall_fails_cleanly(tmp_path, capsys):
 def test_supershift_far_beyond_precision_wall_fails_cleanly(tmp_path, capsys):
     # Orders past 2000 once fell through a search limit; the wall refuses them too.
     _assert_supershift_refused(tmp_path, capsys, "4,2000")
+
+
+def test_supershift_past_the_atom_bound_fails_cleanly(tmp_path, capsys):
+    # below the digit wall at a = 1.0000001, n = 10^8 is refused for its
+    # 10^8 + 1 atoms before any array is built
+    out = tmp_path / "s.csv"
+    rc = main(["supershift", "--t", "0.5", "--x", "1,1.2", "--a", "1.0000001",
+               "--n-list", "100000000", "--out", str(out)])
+    assert rc == 1
+    assert not out.exists()
+    err = capsys.readouterr().err
+    assert err.startswith("supershift failed: ") and "memory bound" in err
 
 
 @pytest.mark.parametrize("p1, reason", [("40", "target wave is not finite"),

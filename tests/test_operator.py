@@ -16,9 +16,10 @@ from barrierwaves.evolve import (
     QuadratureSpec,
     TailBoundUnsatisfiable,
     TaylorField,
+    _FresnelGrid,
     psi_fresnel,
 )
-from barrierwaves.geometry import PolarPoint
+from barrierwaves.geometry import CartesianPoint, PolarPoint, to_polar
 from barrierwaves.greens import BoundaryKind
 from barrierwaves.operator import (
     N_CAP,
@@ -557,6 +558,40 @@ def test_continuity_constant_overflow_routes_to_log_variant():
     # at B = 8 the constant itself is far beyond double range; its log is not
     log_c = log_continuity_constant(1.0, 1.0, ALPHA, 8.0)
     assert 1e4 < log_c < math.inf
+
+
+# ----------------------------------------------------------------------------
+# Operator series on the quadrature's node ladder
+# ----------------------------------------------------------------------------
+
+
+def test_series_matches_the_table_route_on_the_field_range():
+    # seeded points of the benchmark's field range: t in [0.5, 2], |x_i| <= 2.8,
+    # plane waves with |k| <= 1.5 (at the cap N = 60 unless an order certifies)
+    # and Taylor data of degree <= 3, whose series is exact at its degree
+    spec = QuadratureSpec()
+    rng = np.random.default_rng(27)
+    for i in range(16):
+        kind = (BoundaryKind.DIRICHLET, BoundaryKind.NEUMANN)[i % 2]
+        t = rng.uniform(0.5, 2.0)
+        x = to_polar(CartesianPoint(*rng.uniform(-2.8, 2.8, 2)))
+        if i % 4:
+            k = rng.uniform(0.0, 1.5) * cmath.exp(1j * rng.uniform(0.0, 2.0 * math.pi))
+            F = PlaneWave(k.real, k.imag)
+            try:
+                N = truncation_order(t, x.r, spec.alpha, abs(k), spec.tol)
+            except TailBoundUnsatisfiable:
+                N = N_CAP
+        else:
+            degree = i // 4
+            F = TaylorField(np.triu(rng.uniform(-1.0, 1.0, (degree + 1, degree + 1)))[:, ::-1])
+            N = F.degree
+        sample, sums = _FresnelGrid(t, F, spec, x.r).series_sample(kind, x, N)
+        table = build_table(kind, t, x, N, spec)
+        ref = (apply_plane_wave(table, (F.k1, F.k2)) if isinstance(F, PlaneWave)
+               else apply_taylor(table, F))
+        assert sums.shape == (N + 1,)
+        assert abs(sample.value - ref) <= sample.est_error + table.est_error + 2 * spec.tol
 
 
 def test_log_continuity_consistent_where_direct_works():

@@ -2,6 +2,7 @@
 
 import importlib
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -85,6 +86,19 @@ def test_order_validation():
         superosc_coefficients(0, 2.0)
     with pytest.raises(ValueError):
         superosc_coefficients(4, 1.0)
+
+
+def test_order_past_the_atom_bound_is_refused_before_any_array():
+    # a = 1.0000001 keeps the weights of n = 10^8 far below the wall
+    # (10^2.2), but its 10^8 + 1 atoms would need about 300 GB
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match="memory bound"):
+            superosc_coefficients(10**8, 1.0000001)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1e6
 
 
 def test_params_validation():
