@@ -16,13 +16,17 @@ flag name with ``_`` for ``-`` (``plane_wave = 0.5,0.5`` stands for
 checks; keys that only other subcommands take are ignored.  Exit codes:
 0 success, 1 runtime failure, 2 usage error.  Output files are written
 through a temporary sibling and renamed, so failed runs leave nothing
-behind.  Grid rows are processed in a thread pool.  Every point of the
-grid shares one radial cutoff (that of its largest radius) and one node
-set per ladder level, each level built once, under a lock, by whichever
-thread first needs it; ``--method operator`` sums the operator series
-order by order on those nodes.  Per-point arithmetic is identical
-regardless of worker count, so repeated runs are byte-identical for any
-``--threads`` value.
+behind.  The off-barrier points of a grid, in grid order, are split into
+``--threads`` contiguous chunks; one chunk (``--threads 1``) runs on the
+calling thread, several run in a thread pool.  Each chunk walks the node
+ladder level by level for all its points at once, one kernel call per
+level for the points that have not yet converged (in batches of at most
+one 192x160 level's nodes).  Every point of the grid shares one radial
+cutoff (that of its largest radius) and one node set per ladder level,
+each level built once, under a lock, by whichever thread first needs it;
+``--method operator`` sums the operator series order by order on those
+nodes.  A point's arithmetic does not depend on its chunk or batch, so
+repeated runs are byte-identical for any ``--threads`` value.
 """
 
 from __future__ import annotations
@@ -451,22 +455,33 @@ def _series_order(t, r, F, spec) -> tuple[int, bool]:
     return min(max(N, degree), N_CAP), True
 
 
-def _series_value(grid, kind, pol) -> complex:
-    """Evolved value at one point of ``grid`` through the operator series.
+def _series_values(grid, kind, points) -> list[complex]:
+    """Evolved values at ``points`` of ``grid`` through the operator series.
 
     An uncertified series at the cap is accepted only where it has
     settled: its order-59 and order-60 sums on the accepted ladder level
     must both be at most the spec's ``tol``; a non-finite sum fails too.
     """
     F, tol = grid.F, grid.spec.tol
-    N, certified = _series_order(grid.t, pol.r, F, grid.spec)
-    sample, sums = grid.series_sample(kind, pol, N)
-    last = np.abs(sums[-2:])
-    if not (certified or (last <= tol).all()):
-        raise NonConvergence(
-            f"the series at k=({F.k1:g}, {F.k2:g}) has not settled at the table cap "
-            f"N={N}: order sums {last[0]:.3e}, {last[1]:.3e} against tol={tol:.3e}")
-    return sample.value
+    orders = [_series_order(grid.t, pol.r, F, grid.spec) for pol in points]
+    walked = grid.series_samples(kind, points, [N for N, _ in orders])
+    values = []
+    for (N, certified), (sample, sums) in zip(orders, walked):
+        last = np.abs(sums[-2:])
+        if not (certified or (last <= tol).all()):
+            raise NonConvergence(
+                f"the series at k=({F.k1:g}, {F.k2:g}) has not settled at the table cap "
+                f"N={N}: order sums {last[0]:.3e}, {last[1]:.3e} against tol={tol:.3e}")
+        values.append(sample.value)
+    return values
+
+
+def _contiguous_chunks(items: list, count: int) -> list:
+    """``items`` split into at most ``count`` contiguous, nonempty runs whose
+    lengths differ by at most one."""
+    count = min(count, len(items))
+    edges = [len(items) * j // count for j in range(count + 1)]
+    return [items[lo:hi] for lo, hi in zip(edges, edges[1:])]
 
 
 def run_field(cfg) -> int:
@@ -491,31 +506,30 @@ def run_field(cfg) -> int:
     for x2 in x2s:
         cart = [CartesianPoint(float(x1), float(x2)) for x1 in x1s]
         polar_rows.append([None if on_barrier(p) else to_polar(p) for p in cart])
-    radii = [pol.r for row in polar_rows for pol in row if pol is not None]
+    points = [pol for row in polar_rows for pol in row if pol is not None]
 
-    grid = None
-
-    def value_at(pol):
-        if pol is None:
-            return None
-        if cfg.method == "operator":
-            return _series_value(grid, kind, pol)
-        return grid.sample(kind, pol).value
-
-    def compute_row(row):
-        return [value_at(pol) for pol in row]
-
-    if radii:
+    values = []
+    if points:
         # one radial cutoff and one node set for every point of the grid;
-        # the rows' threads share its levels
-        r_max = max(radii)
+        # the chunks' threads share its levels
+        r_max = max(pol.r for pol in points)
         grid = _FresnelGrid(t, F, spec, r_max)
         if cfg.method == "operator":
             # the bounds grow with r and with the order, which grows with r:
             # the largest radius refuses for every point, before any kernel call
             _bound_table(t, r_max, spec.alpha, _series_order(t, r_max, F, spec)[0])
-    with ThreadPoolExecutor(max_workers=cfg.threads) as pool:
-        grid_rows = list(pool.map(compute_row, polar_rows))
+            evaluate = functools.partial(_series_values, grid, kind)
+        else:
+            def evaluate(chunk):
+                return [sample.value for sample in grid.samples(kind, chunk)]
+        chunks = _contiguous_chunks(points, cfg.threads)
+        if len(chunks) == 1:
+            values = evaluate(chunks[0])
+        else:
+            with ThreadPoolExecutor(max_workers=len(chunks)) as pool:
+                values = [v for part in pool.map(evaluate, chunks) for v in part]
+    it = iter(values)
+    grid_rows = [[None if pol is None else next(it) for pol in row] for row in polar_rows]
 
     if cfg.out is not None:
         rows = []

@@ -52,10 +52,16 @@ alone, apart from the cutoff's growth with r.  A batch of points (a
 ``field`` grid) therefore takes one cutoff, at its largest r, which
 bounds the tail of every point of the batch, and builds each ladder level
 it reaches once, with the datum already multiplied by the weights
-(``_FresnelGrid``).  A point then costs one kernel grid and one
-product-sum per level, and still stops at its own level.  The operator
-series of ``field --method operator`` walks the same levels, with the
-datum's derivatives of each order in place of the datum.
+(``_FresnelGrid``).  The batch walks the ladder level by level: each
+level evaluates the kernel once for all the points that have not yet
+converged below it, with their r and phi on a leading points axis, in
+calls of at most one 192x160 level's nodes (``_BATCH_NODES``), and each
+point still stops at its own level.  A node's kernel value does not
+depend on the batch it is evaluated in, so a point's value is the same
+alone or in any batch.  The per-point work left is one product-sum per
+level.  The operator series of ``field --method operator`` walks the
+same levels, with the datum's derivatives of each order in place of the
+datum.
 """
 
 from __future__ import annotations
@@ -78,6 +84,9 @@ _PANEL_ORDER = 16
 #: (n_rho, n_theta) node counts of the refinement ladder, coarsest first;
 #: each level refines the one below in both directions
 _LADDER = ((32, 32), (48, 48), (96, 80), (192, 160), (384, 320))
+#: most kernel nodes of one batched ``_kernel_grid`` call: one 192x160
+#: level, so a batch of points allocates no more than one point's pass there
+_BATCH_NODES = _LADDER[3][0] * _LADDER[3][1]
 
 
 class TailBoundUnsatisfiable(ArithmeticError):
@@ -369,26 +378,41 @@ def _polar_rule(R: float, n_rho: int, n_theta: int, alpha: float = 0.0):
     return rho, z, 2.0 * u * wu * rho, th, wth
 
 
-def _walk_ladder(evaluate, gap, tol: float, start: int = 0):
-    """(value, estimate, (n_rho, n_theta)) of the first ladder level from
-    ``start`` up, ``evaluate(i)`` giving level i's value, whose estimate
-    ``gap(fine, coarse)`` against the level below is at most ``tol``; the
-    top level is accepted up to 10 * tol, and otherwise ``NonConvergence``
-    names it.  Overflow is left to the estimate, which is then not finite.
+def _walk_ladder(evaluate, gap, tol: float, count: int, start: int = 0) -> list:
+    """For each of ``count`` items, (value, estimate, (n_rho, n_theta)) of
+    the first ladder level from ``start`` up whose estimate
+    ``gap(fine, coarse)`` against the level below is at most ``tol``.
+
+    The walk is level-major: ``evaluate(i, active)`` gives level i's values
+    of the items whose indices are listed in ``active``, those that have
+    not converged below level i, so a level is evaluated once for all the
+    items that reach it and for no other.  The top level is accepted up to
+    10 * tol; otherwise ``NonConvergence`` names it, for the first such
+    item.  Overflow is left to the estimate, which is then not finite.
     """
+    results = [None] * count
+    active = list(range(count))
     with np.errstate(over="ignore", invalid="ignore"):
-        coarse = evaluate(start)
+        coarse = evaluate(start, active) if active else []
         for i in range(start + 1, len(_LADDER)):
-            fine = evaluate(i)
-            est = gap(fine, coarse)
-            if est <= tol:
+            if not active:
                 break
-            coarse = fine
-    # a NaN estimate fails this test too, so no NaN leaves as converged
-    if not est <= 10.0 * tol:
-        raise NonConvergence(f"refinement estimate {est:.3e} exceeds 10*tol={10 * tol:.3e} "
-                             "(n_rho={}, n_theta={})".format(*_LADDER[i]))
-    return fine, est, _LADDER[i]
+            fine = evaluate(i, active)
+            climbing = []
+            for j, f, c in zip(active, fine, coarse):
+                est = gap(f, c)
+                if est <= tol or i == len(_LADDER) - 1:
+                    results[j] = (f, est, _LADDER[i])
+                else:
+                    climbing.append((j, f))
+            active = [j for j, _ in climbing]
+            coarse = [f for _, f in climbing]
+    for _, est, nodes in results:
+        # a NaN estimate fails this test too, so no NaN leaves as converged
+        if not est <= 10.0 * tol:
+            raise NonConvergence(f"refinement estimate {est:.3e} exceeds 10*tol={10 * tol:.3e} "
+                                 "(n_rho={}, n_theta={})".format(*nodes))
+    return results
 
 
 def _directional_derivatives(F: InitialDatum, u1, u2, N: int) -> np.ndarray:
@@ -430,11 +454,13 @@ class _FresnelGrid:
     tail.  They share each ladder level's node set too: its rotated radii,
     its angles and the datum at (+-z1, z2) times the tensor weights are
     built on first use, once, under a lock, so threads that share the grid
-    read the same read-only arrays.  Per point and level only the kernel
-    and one product-sum remain.
+    read the same arrays.  A sequence of points walks the ladder together
+    (``samples``, ``series_samples``): per level, one kernel call for each
+    batch of at most ``_BATCH_NODES`` nodes of the points still walking,
+    then one product-sum per point.
 
     The same cutoff and nodes serve the operator series sum_{m<=N} S_m,
-    S_m = sum_{n1+n2=m} c_{n1,n2} d^{n1+n2}F(0) (``series_sample``).  With
+    S_m = sum_{n1+n2=m} c_{n1,n2} d^{n1+n2}F(0) (``series_samples``).  With
     a_m(u) = d^m/ds^m F(s u) at s = 0 and e = exp(1j alpha),
 
         S_m = exp(2j alpha) * sum_{rho, th} w_rho rho^m / m! * w_th
@@ -466,7 +492,7 @@ class _FresnelGrid:
         self.rho_max = rho_max(tail_spec, t, r_max, B_eff)
         self._phase = complex(math.cos(2.0 * spec.alpha), math.sin(2.0 * spec.alpha))
         self._levels = {}
-        self._lock = threading.Lock()
+        self._lock = threading.RLock()
 
     def _cached(self, key, build):
         """The level stored under ``key``, built by ``build()`` on first use."""
@@ -478,27 +504,32 @@ class _FresnelGrid:
                     level = self._levels[key] = build()
         return level
 
-    def level(self, i: int):
-        """(z column, theta row, weighted datum pair) of ladder level ``i``."""
-        return self._cached(i, lambda: self._build(*_LADDER[i]))
+    def rule(self, i: int):
+        """``_polar_rule`` of ladder level ``i`` on the grid's cutoff."""
+        return self._cached(("rule", i), lambda: _polar_rule(
+            self.rho_max, *_LADDER[i], self.spec.alpha))
 
-    def _build(self, n_rho: int, n_theta: int):
-        _, z, w_rho, th, wth = _polar_rule(self.rho_max, n_rho, n_theta, self.spec.alpha)
+    def level(self, i: int):
+        """The datum at (+-z1, z2) times the tensor weights on ladder level ``i``."""
+        return self._cached(i, lambda: self._build(i))
+
+    def _build(self, i: int):
+        _, z, w_rho, th, wth = self.rule(i)
         z, th = z[:, None], th[None, :]
         datum = eval_datum(self.F, np.multiply.outer((1.0, -1.0), z * np.cos(th)), z * np.sin(th))
         datum *= w_rho[:, None] * wth[None, :]
         datum.setflags(write=False)
-        return z, th, datum
+        return datum
 
     def series_level(self, i: int, N: int):
-        """(z column, theta row, radial powers, angular factors) of ladder
-        level ``i`` for the operator series to order ``N``."""
-        return self._cached((i, N), lambda: self._build_series(*_LADDER[i], N))
+        """(radial powers, angular factors) of ladder level ``i`` for the
+        operator series to order ``N``."""
+        return self._cached((i, N), lambda: self._build_series(i, N))
 
-    def _build_series(self, n_rho: int, n_theta: int, N: int):
-        rho, z, w_rho, th, wth = _polar_rule(self.rho_max, n_rho, n_theta, self.spec.alpha)
+    def _build_series(self, i: int, N: int):
+        rho, _, w_rho, th, wth = self.rule(i)
         # w rho^(m+1) / m!: w_rho already carries the first power
-        radial = np.empty((N + 1, n_rho))
+        radial = np.empty((N + 1, rho.size))
         radial[0] = w_rho
         radial[1:] = rho / np.arange(1, N + 1)[:, None]
         np.cumprod(radial, axis=0, out=radial)
@@ -508,55 +539,85 @@ class _FresnelGrid:
         angular = _directional_derivatives(self.F, u1, rot * np.sin(th), N).transpose(1, 0, 2) * wth
         radial.setflags(write=False)
         angular.setflags(write=False)
-        return z[:, None], th[None, :], radial, angular
+        return radial, angular
 
-    def quad_value(self, kind: BoundaryKind, x: PolarPoint, i: int) -> tuple[complex, float]:
-        """One tensor quadrature pass on ladder level ``i``: (value, sum of |terms|).
+    def _kernels(self, points: Sequence[PolarPoint], i: int):
+        """The kernel pair of each of ``points`` on ladder level ``i``, in
+        order, each of shape (2, n_rho, n_theta).
+
+        The points go to ``_kernel_grid`` in batches of at most
+        ``_BATCH_NODES`` nodes, one call per batch, with their radii and
+        angles on a leading points axis.
+        """
+        _, z, _, th, _ = self.rule(i)
+        size = max(1, _BATCH_NODES // (z.size * th.size))
+        for lo in range(0, len(points), size):
+            batch = points[lo:lo + size]
+            r = np.array([p.r for p in batch])[:, None, None]
+            phi = np.array([p.phi for p in batch])[:, None, None]
+            yield from _kernel_grid(self.t, r, phi, z[:, None], th[None, :]).swapaxes(0, 1)
+
+    def quad_values(self, kind: BoundaryKind, points: Sequence[PolarPoint], i: int
+                    ) -> list[tuple[complex, float]]:
+        """One tensor quadrature pass on ladder level ``i`` at each of
+        ``points``: [(value, sum of |terms|)].
 
         The sum is of w * (D F(z1, z2) + sign * I F(-z1, z2)) over the
         level's nodes, (D, I) the kernel pair of ``greens._kernel_grid``.
         """
-        z, th, datum = self.level(i)
-        terms = _kernel_grid(self.t, x, z, th)
-        terms *= datum
-        direct, image = terms.sum(axis=(1, 2))
-        return self._phase * complex(direct + kind.sign * image), float(np.abs(terms).sum())
+        datum = self.level(i)
+        out = []
+        for terms in self._kernels(points, i):
+            terms *= datum
+            direct, image = terms.sum(axis=(1, 2))
+            out.append((self._phase * complex(direct + kind.sign * image),
+                        float(np.abs(terms).sum())))
+        return out
 
-    def series_value(self, kind: BoundaryKind, x: PolarPoint, i: int, N: int):
-        """The operator series to order ``N`` on ladder level ``i``:
-        (value, sum of |terms|, order sums S_0..S_N).
+    def series_values(self, kind: BoundaryKind, points: Sequence[PolarPoint],
+                      orders: Sequence[int], i: int) -> list:
+        """The operator series to order ``orders[j]`` at ``points[j]`` on
+        ladder level ``i``: [(value, sum of |terms|, order sums S_0..S_N)].
 
-        One kernel grid, one radial matmul for both halves and one angular
-        contraction give every S_m; the terms are the products of the
-        angular contraction.
+        Per point, one radial matmul for both halves of its kernel pair and
+        one angular contraction give every S_m; the terms are the products
+        of the angular contraction.
         """
-        z, th, radial, angular = self.series_level(i, N)
-        G = _kernel_grid(self.t, x, z, th)
-        # a real matrix times the complex grid, as (re, im) pairs of columns
-        terms = (radial @ G.view(float)).view(complex)
-        terms *= angular
-        direct, image = terms.sum(axis=-1)
-        sums = self._phase * (direct + kind.sign * image)
-        return complex(sums.sum()), float(np.abs(terms).sum()), sums
+        out = []
+        for G, N in zip(self._kernels(points, i), orders):
+            radial, angular = self.series_level(i, N)
+            # a real matrix times the complex grid, as (re, im) pairs of columns
+            terms = (radial @ G.view(float)).view(complex)
+            terms *= angular
+            direct, image = terms.sum(axis=-1)
+            sums = self._phase * (direct + kind.sign * image)
+            out.append((complex(sums.sum()), float(np.abs(terms).sum()), sums))
+        return out
 
-    def sample(self, kind: BoundaryKind, x: PolarPoint) -> WaveSample:
-        """Walk the ladder at ``x``, whose radius is at most ``r_max``, up to
-        its first converged level; a level is built only when some point
-        reaches it."""
-        return self._walk(kind, x, lambda i: self.quad_value(kind, x, i))[0]
+    def samples(self, kind: BoundaryKind, points: Sequence[PolarPoint]) -> list[WaveSample]:
+        """Walk the ladder at each of ``points``, whose radii are at most
+        ``r_max``, up to its first converged level; a level is built only
+        when some point reaches it."""
+        points = list(points)
+        walked = self._walk(kind, points, lambda i, active: self.quad_values(
+            kind, [points[j] for j in active], i))
+        return [sample for sample, _ in walked]
 
-    def series_sample(self, kind: BoundaryKind, x: PolarPoint, N: int
-                      ) -> tuple[WaveSample, np.ndarray]:
-        """The operator series to order ``N`` at ``x``, judged on the ladder
-        by the rule of ``sample``: its sample, and its order sums S_0..S_N
-        on the returned level.  The datum must be a ``PlaneWave`` or a
-        ``TaylorField``, and a Taylor datum's degree at most ``N``."""
-        sample, (_, _, sums) = self._walk(kind, x, lambda i: self.series_value(kind, x, i, N))
-        return sample, sums
+    def series_samples(self, kind: BoundaryKind, points: Sequence[PolarPoint],
+                       orders: Sequence[int]) -> list[tuple[WaveSample, np.ndarray]]:
+        """The operator series to order ``orders[j]`` at ``points[j]``,
+        judged on the ladder by the rule of ``samples``: per point its
+        sample, and its order sums S_0..S_N on the returned level.  The
+        datum must be a ``PlaneWave`` or a ``TaylorField``, and a Taylor
+        datum's degree at most each order."""
+        points, orders = list(points), list(orders)
+        walked = self._walk(kind, points, lambda i, active: self.series_values(
+            kind, [points[j] for j in active], [orders[j] for j in active], i))
+        return [(sample, fine[2]) for sample, fine in walked]
 
-    def _walk(self, kind: BoundaryKind, x: PolarPoint, evaluate):
-        """The sample of the first converged level at ``x`` and that level's
-        (value, sum of |terms|, ...) from ``evaluate``."""
+    def _walk(self, kind: BoundaryKind, points: list[PolarPoint], evaluate):
+        """Per point, the sample of its first converged level and that
+        level's (value, sum of |terms|, ...) from ``evaluate``."""
         def gap(fine, coarse):
             try:
                 # a difference below the rounding of the sum itself says nothing
@@ -564,9 +625,10 @@ class _FresnelGrid:
             except OverflowError:
                 return math.inf
 
-        fine, est, (n_rho, n_theta) = _walk_ladder(evaluate, gap, self.spec.tol)
-        return WaveSample(value=fine[0], est_error=est, t=self.t, x=x, kind=kind,
-                          rho_max=self.rho_max, n_rho=n_rho, n_theta=n_theta), fine
+        walked = _walk_ladder(evaluate, gap, self.spec.tol, len(points))
+        return [(WaveSample(value=fine[0], est_error=est, t=self.t, x=x, kind=kind,
+                            rho_max=self.rho_max, n_rho=n_rho, n_theta=n_theta), fine)
+                for x, (fine, est, (n_rho, n_theta)) in zip(points, walked)]
 
 
 def psi_fresnel(kind: BoundaryKind, t: float, x: PolarPoint | Sequence[PolarPoint],
@@ -606,7 +668,7 @@ def psi_fresnel(kind: BoundaryKind, t: float, x: PolarPoint | Sequence[PolarPoin
     single = isinstance(x, PolarPoint)
     points = [x] if single else list(x)
     grid = _FresnelGrid(t, F, spec, max((p.r for p in points), default=0.0))
-    samples = [grid.sample(kind, p) for p in points]
+    samples = grid.samples(kind, points)
     return samples[0] if single else samples
 
 
@@ -651,7 +713,7 @@ def psi_regularized_oracle(kind: BoundaryKind, t: float, x: PolarPoint,
         R = math.sqrt(max(math.log(C / (2.0 * eps * 1e-6)), 1.0) / eps)
         R = R * (1.0 + 0.1 * degree)
         rho, _, w_rho, th, wth = _polar_rule(R, 1024, 256)
-        G = _kernel_grid(t, x, rho[:, None], th[None, :])
+        G = _kernel_grid(t, x.r, x.phi, rho[:, None], th[None, :])
         y1 = rho[:, None] * np.cos(th)[None, :]
         y2 = rho[:, None] * np.sin(th)[None, :]
         damp = np.exp(-eps * rho * rho)

@@ -182,26 +182,29 @@ def _stable_scaled_erfcx(P, w):
     return out
 
 
-def _kernel_grid(t: float, x: PolarPoint, z, theta):
+def _kernel_grid(t: float, r, phi, z, theta):
     """Direct and image halves of the propagator on the grid of ``z`` and ``theta``.
 
     Returns ``pref * exp(P) * (L(-w1), L(w1))`` stacked on a leading axis
     of length 2, where w1 = sqrt(r z) cos((phi - theta)/2) / sqrt(it) at
-    source angle ``theta``.  The propagator at (z, theta) is
-    ``G[0](theta) + sign * G[1](pi - theta)`` with ``sign`` the boundary
-    condition's ``_SIGNS`` entry; grid callers instead pair ``G[1]`` at
-    ``theta`` with the datum at the mirror point (-z cos theta, z sin theta).
+    source angle ``theta`` and observation point (r, phi).  The propagator
+    at (z, theta) is ``G[0](theta) + sign * G[1](pi - theta)`` with
+    ``sign`` the boundary condition's ``_SIGNS`` entry; grid callers
+    instead pair ``G[1]`` at ``theta`` with the datum at the mirror point
+    (-z cos theta, z sin theta).
 
     ``z`` may be real (physical points) or complex with Re(z) > 0 (rotated
     radius); the map is holomorphic in z there, and along the ray
     z = rho*exp(1j*alpha) its modulus decays like
     exp(-rho^2 sin(2 alpha)/(4 t)).  Shapes broadcast: the result has shape
-    ``(2,) + np.broadcast(z, theta).shape``.
+    ``(2,) + np.broadcast(r, phi, z, theta).shape``, so arrays of r and phi
+    of shape (points, 1, 1) put a leading points axis in front of a
+    (z column, theta row) node grid.  Every node's value is the same
+    whatever the batch it is evaluated in.
     """
     _check_time(t)
     z = np.asarray(z, dtype=complex)
     theta = np.asarray(theta, dtype=float)
-    r, phi = x.r, x.phi
     # principal square roots; Re(z) > 0 keeps arg(r z) inside (-pi/2, pi/2)
     sqrt_rz = np.sqrt(r * z)
     inv_sqrt_it = np.exp(-1j * _QUARTER_PI) / math.sqrt(t)
@@ -231,7 +234,7 @@ def greens(kind: BoundaryKind, t: float, x: PolarPoint, y: PolarPoint) -> comple
         y = (1e300, 0.2) or t = 1e-300).
     """
     with np.errstate(over="ignore", invalid="ignore"):
-        G = _kernel_grid(t, x, y.r, (y.phi, math.pi - y.phi))
+        G = _kernel_grid(t, x.r, x.phi, y.r, (y.phi, math.pi - y.phi))
         g = complex(G[0, 0] + _SIGNS[kind] * G[1, 1])
     if not cmath.isfinite(g):
         raise ValueError(f"propagator at t={t}, x={x}, y={y} is not finite")

@@ -22,7 +22,7 @@ total is controlled by ``log_continuity_constant``.  All tabulated c share
 one propagator evaluation on the node set of ``evolve._polar_rule``, so the
 operator route and the direct quadrature route differ only in the
 angular/radial weights.  ``field --method operator`` tabulates nothing:
-``evolve._FresnelGrid.series_sample`` contracts the same moments with the
+``evolve._FresnelGrid.series_samples`` contracts the same moments with the
 datum's derivatives order by order, on the quadrature's own nodes.
 
 The table order is capped at N = 60 (``N_CAP``).
@@ -289,7 +289,7 @@ def build_table(kind: BoundaryKind, t: float, x: PolarPoint, N: int,
 
     def raw_moments(n_rho, n_theta):
         rho, z, w_rho, th, wth = _polar_rule(R, n_rho, n_theta, spec.alpha)
-        G = _kernel_grid(t, x, z[:, None], th[None, :])
+        G = _kernel_grid(t, x.r, x.phi, z[:, None], th[None, :])
         # radial weights w * rho^(m+1) built multiplicatively
         radial = np.empty((N + 1, rho.size))
         radial[0] = w_rho
@@ -330,9 +330,10 @@ def build_table(kind: BoundaryKind, t: float, x: PolarPoint, N: int,
                 f"(refinement estimate {est:.3e})")
         return est
 
-    # every level costs a full moment pass, so tables start on 96x80
-    raw, est_error, (n_rho, n_theta) = _walk_ladder(
-        lambda i: raw_moments(*_LADDER[i]), gap, spec.tol, start=2)
+    # every level costs a full moment pass, so tables start on 96x80; the
+    # table is the walk's one item
+    [(raw, est_error, (n_rho, n_theta))] = _walk_ladder(
+        lambda i, _: [raw_moments(*_LADDER[i])], gap, spec.tol, 1, start=2)
     c = entries(raw)
     c.setflags(write=False)
     bound.setflags(write=False)

@@ -13,7 +13,7 @@ import pytest
 
 import barrierwaves
 from barrierwaves.cli import main, parse_config, write_csv, write_pgm
-from barrierwaves.geometry import PolarPoint
+from barrierwaves.geometry import CartesianPoint, PolarPoint, on_barrier, to_polar
 from barrierwaves.greens import BoundaryKind, greens
 
 greens_module = importlib.import_module("barrierwaves.greens")
@@ -384,6 +384,47 @@ def test_field_thread_count_does_not_change_bytes(tmp_path):
                          "--pgm", str(pgm_path)]) == 0
             outputs.append((csv_path.read_bytes(), pgm_path.read_bytes()))
         assert outputs[1] == outputs[0] and outputs[2] == outputs[0]
+
+
+@pytest.mark.parametrize("threads", [1, 3])
+def test_field_kernel_calls_cover_each_point_level_once(tmp_path, monkeypatch, threads):
+    # the t = 0.6 quadrature grid above: each --threads chunk of contiguous
+    # points makes one kernel call per ladder level and node-cap batch, and
+    # the kernel values add up to each point's own levels, so no node is
+    # evaluated twice or above the level where its point stopped
+    evolve = importlib.import_module("barrierwaves.evolve")
+    axis = np.linspace(-3.0, 3.0, 5)
+    cart = (CartesianPoint(x1, x2) for x2 in axis for x1 in axis)
+    points = [to_polar(c) for c in cart if not on_barrier(c)]
+    samples = evolve.psi_fresnel(BoundaryKind.DIRICHLET, 0.6, points, evolve.PlaneWave(0.4, -0.3))
+    stops = [evolve._LADDER.index((s.n_rho, s.n_theta)) for s in samples]
+    assert set(stops) == {1, 2, 3}
+    expected_calls, expected_values = {}, 0
+    for chunk in cli_module._contiguous_chunks(stops, threads):
+        for i, (n_rho, n_theta) in enumerate(evolve._LADDER):
+            reached = sum(stop >= i for stop in chunk)
+            per_call = max(1, evolve._BATCH_NODES // (n_rho * n_theta))
+            if reached:
+                expected_calls[i] = expected_calls.get(i, 0) + -(-reached // per_call)
+            expected_values += 2 * n_rho * n_theta * reached
+
+    original, calls = evolve._kernel_grid, []
+
+    def counted(*args):
+        G = original(*args)
+        calls.append((evolve._LADDER.index(G.shape[2:]), G[0].size, G.size))
+        return G
+
+    monkeypatch.setattr(evolve, "_kernel_grid", counted)
+    assert main(["field", "--kind", "DIRICHLET", "--t", "0.6", "--grid", "-3:3:5,-3:3:5",
+                 "--plane-wave", "0.4,-0.3", "--threads", str(threads),
+                 "--out", str(tmp_path / "f.csv")]) == 0
+    got_calls = {}
+    for level, _, _ in calls:
+        got_calls[level] = got_calls.get(level, 0) + 1
+    assert got_calls == expected_calls
+    assert sum(size for _, _, size in calls) == expected_values
+    assert max(nodes for _, nodes, _ in calls) <= evolve._BATCH_NODES
 
 
 def test_field_single_point(tmp_path):

@@ -2,6 +2,7 @@
 
 import math
 import sys
+import tracemalloc
 import warnings
 from concurrent.futures import ThreadPoolExecutor
 
@@ -280,7 +281,7 @@ def test_mesh_doubling_shrinks_error_estimate():
     # upper one, shrinks all the way up: here 2.6, 1.1e-3, 2.1e-8, 2.8e-12
     t, x, F = FAR_CORNER
     grid = _FresnelGrid(t, F, SPEC, x.r)
-    values = [grid.quad_value(BoundaryKind.NEUMANN, x, i)[0] for i in range(len(_LADDER))]
+    values = [grid.quad_values(BoundaryKind.NEUMANN, [x], i)[0][0] for i in range(len(_LADDER))]
     gaps = [abs(fine - coarse) for coarse, fine in zip(values, values[1:])]
     assert gaps[-1] > 0
     for coarse_gap, fine_gap in zip(gaps, gaps[1:]):
@@ -295,8 +296,8 @@ def test_finest_level_reproduces_fixed_pair():
     assert (s.n_rho, s.n_theta) == (192, 160)
     grid = _FresnelGrid(t, F, SPEC, x.r)
     assert _LADDER[LEVEL_192 - 1] == (96, 80)
-    fine, _ = grid.quad_value(kind, x, LEVEL_192)
-    coarse, _ = grid.quad_value(kind, x, LEVEL_192 - 1)
+    fine, _ = grid.quad_values(kind, [x], LEVEL_192)[0]
+    coarse, _ = grid.quad_values(kind, [x], LEVEL_192 - 1)[0]
     assert s.value == fine
     assert s.est_error == abs(fine - coarse)
 
@@ -325,7 +326,7 @@ def test_ladder_agrees_with_finest_level_within_estimate():
     for kind, t, x, F in _seeded_ladder_points():
         s = psi_fresnel(kind, t, x, F, SPEC)
         levels.add(s.n_rho)
-        reference, _ = _FresnelGrid(t, F, SPEC, x.r).quad_value(kind, x, LEVEL_192)
+        reference, _ = _FresnelGrid(t, F, SPEC, x.r).quad_values(kind, [x], LEVEL_192)[0]
         assert abs(s.value - reference) <= s.est_error <= 10 * SPEC.tol
     # the seeded points stop at every level above the coarsest
     assert levels == {48, 96, 192}
@@ -349,7 +350,7 @@ def test_corner_sweep_converges_within_estimate():
         kn, ang = rng.uniform(0.0, 1.5), rng.uniform(0.0, 2 * math.pi)
         F = PlaneWave(kn * math.cos(ang), kn * math.sin(ang))
         s = psi_fresnel(kind, t, x, F, SPEC)
-        reference, _ = _FresnelGrid(t, F, SPEC, x.r).quad_value(kind, x, LEVEL_192)
+        reference, _ = _FresnelGrid(t, F, SPEC, x.r).quad_values(kind, [x], LEVEL_192)[0]
         assert abs(s.value - reference) <= s.est_error <= 10 * SPEC.tol
 
 
@@ -414,12 +415,81 @@ def test_shared_grid_levels_are_built_once_under_concurrency(monkeypatch):
     sys.setswitchinterval(1e-6)
     try:
         with ThreadPoolExecutor(max_workers=8) as pool:
-            futures = [pool.submit(grid.sample, kind, p) for p in points * 3]
-            got = [f.result(timeout=120) for f in futures]
+            futures = [pool.submit(grid.samples, kind, [p]) for p in points * 3]
+            got = [f.result(timeout=120)[0] for f in futures]
     finally:
         sys.setswitchinterval(interval)
     assert len(calls) == LEVEL_192 + 1
     assert got == expected * 3
+
+
+#: one datum of each kind, with the grid of ``_grid_points`` at t = 0.6
+#: stopping at 48x48, 96x80 and 192x160 for each of them
+_BATCH_DATA = [
+    PlaneWave(0.4, -0.3),
+    TaylorField([[0.5, 1.0], [-0.7, 0.0]]),
+    DiscreteSuperposition([0.5, -0.25, 1j], [[0.4, -0.3], [-0.2, 0.6], [0.1, 0.1]]),
+]
+
+
+@pytest.mark.parametrize("kind", list(BoundaryKind))
+@pytest.mark.parametrize("F", _BATCH_DATA, ids=["plane-wave", "taylor", "superposition"])
+def test_batched_walk_equals_one_point_walks(kind, F):
+    # the grid's 22 points twice: the node cap splits their kernel calls
+    # on every level, into 30, 13 and 4 points on 32x32, 48x48 and 96x80
+    points = _grid_points()
+    grid = _FresnelGrid(0.6, F, SPEC, max(p.r for p in points))
+    batched = grid.samples(kind, points * 2)
+    single = [grid.samples(kind, [p])[0] for p in points]
+    assert batched == single * 2
+    assert {(s.n_rho, s.n_theta) for s in single} == {(48, 48), (96, 80), (192, 160)}
+
+
+@pytest.mark.parametrize("kind", list(BoundaryKind))
+@pytest.mark.parametrize("F", _BATCH_DATA[:2], ids=["plane-wave", "taylor"])
+def test_batched_series_walk_equals_one_point_walks(kind, F):
+    points = _grid_points()
+    grid = _FresnelGrid(0.6, F, SPEC, max(p.r for p in points))
+    batched = grid.series_samples(kind, points * 2, [60] * (2 * len(points)))
+    single = [grid.series_samples(kind, [p], [60])[0] for p in points] * 2
+    for (sample, sums), (one, one_sums) in zip(batched, single, strict=True):
+        assert sample == one
+        assert np.array_equal(sums, one_sums)
+    assert {s.n_rho for s, _ in batched} == {48, 96, 192}
+
+
+def test_batched_kernel_equals_one_point_kernels():
+    # a leading points axis of r and phi gives every point the bits of its
+    # own call, on real and on rotated radii
+    points = _grid_points()
+    r = np.array([p.r for p in points])[:, None, None]
+    phi = np.array([p.phi for p in points])[:, None, None]
+    for alpha in (0.0, 0.25 * math.pi):
+        _, z, _, th, _ = evolve_module._polar_rule(9.0, 48, 48, alpha)
+        batched = evolve_module._kernel_grid(0.6, r, phi, z[:, None], th[None, :])
+        assert batched.shape == (2, len(points), 48, 48)
+        for j, p in enumerate(points):
+            one = evolve_module._kernel_grid(0.6, p.r, p.phi, z[:, None], th[None, :])
+            assert np.array_equal(batched[:, j], one)
+
+
+def test_batch_memory_is_bounded_by_the_node_cap():
+    # the kernel sees at most one 192x160 level's nodes per call, so ten
+    # times as many points that reach 96x80 peak at about the same memory
+    kind, t, F = BoundaryKind.DIRICHLET, 0.6, PlaneWave(0.4, -0.3)
+    points = _grid_points()
+    grid = _FresnelGrid(t, F, SPEC, max(p.r for p in points))
+    x = next(s.x for s in grid.samples(kind, points) if (s.n_rho, s.n_theta) == (96, 80))
+
+    def peak(count):
+        tracemalloc.start()
+        try:
+            grid.samples(kind, [x] * count)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    assert peak(400) <= 1.5 * peak(40)
 
 
 def test_empty_point_sequence_gives_empty_list():
@@ -433,8 +503,8 @@ def test_estimate_is_floored_at_the_rounding_of_the_sum():
     F = TaylorField(np.array([[0.824]]))
     s = psi_fresnel(kind, t, x, F, SPEC)
     grid = _FresnelGrid(t, F, SPEC, x.r)
-    reference, _ = grid.quad_value(kind, x, LEVEL_192)
-    _, magnitude = grid.quad_value(kind, x, _LADDER.index((s.n_rho, s.n_theta)))
+    reference, _ = grid.quad_values(kind, [x], LEVEL_192)[0]
+    _, magnitude = grid.quad_values(kind, [x], _LADDER.index((s.n_rho, s.n_theta)))[0]
     assert s.est_error >= np.finfo(float).eps * magnitude
     assert abs(s.value - reference) <= s.est_error <= 10 * SPEC.tol
 
@@ -462,11 +532,13 @@ def test_walk_ladder_rule(gaps, start, level):
     values = np.concatenate([[0.0], np.cumsum(gaps)])
     calls = []
 
-    def evaluate(i):
+    def evaluate(i, active):
         calls.append(i)
-        return values[i - start]
+        assert active == [0]
+        return [values[i - start]]
 
-    value, est, nodes = _walk_ladder(evaluate, lambda fine, coarse: abs(fine - coarse), 1e-7, start)
+    [(value, est, nodes)] = _walk_ladder(evaluate, lambda fine, coarse: abs(fine - coarse),
+                                         1e-7, 1, start)
     assert (value, nodes) == (values[level - start], _LADDER[level])
     assert est == abs(values[level - start] - values[level - start - 1])
     assert calls == list(range(start, level + 1))
@@ -477,7 +549,7 @@ def test_walk_ladder_raises_on_the_top_level(top_gap):
     values = [0.0, 1.0, 2.0, 3.0, 3.0 + top_gap]
     with pytest.raises(NonConvergence, match=r"refinement estimate .* exceeds 10\*tol=1\.000e-06 "
                        r"\(n_rho=384, n_theta=320\)$"):
-        _walk_ladder(values.__getitem__, lambda fine, coarse: abs(fine - coarse), 1e-7)
+        _walk_ladder(lambda i, active: [values[i]], lambda fine, coarse: abs(fine - coarse), 1e-7, 1)
 
 
 @pytest.mark.parametrize("t, k, error", [

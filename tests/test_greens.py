@@ -30,7 +30,7 @@ Y = PolarPoint(2.0, 1.1)
 
 def _rotated(kind, t, x, z, theta):
     """Propagator at source radius z (real or Re z > 0) from the grid kernel."""
-    G = _kernel_grid(t, x, z, (theta, math.pi - theta))
+    G = _kernel_grid(t, x.r, x.phi, z, (theta, math.pi - theta))
     return complex(G[0, 0] + kind.sign * G[1, 1])
 
 
@@ -179,7 +179,7 @@ def test_nonpositive_time_rejected():
 @pytest.mark.parametrize("t", [math.nan, math.inf])
 @pytest.mark.parametrize("call", [
     lambda t: greens(BoundaryKind.DIRICHLET, t, X, Y),
-    lambda t: _kernel_grid(t, X, np.array([1.0 + 0.5j]), np.array([0.4])),
+    lambda t: _kernel_grid(t, X.r, X.phi, np.array([1.0 + 0.5j]), np.array([0.4])),
     lambda t: greens_reduced_bound(t, 1.0, 2.0),
     lambda t: coeff_bound(t, 1.0, math.pi / 4, 2, 3),
     lambda t: log_continuity_constant(t, 1.0, math.pi / 4, 0.5),
@@ -266,7 +266,7 @@ def test_reduced_bound_envelope_in_log_space():
         alpha = 0.0 if i % 4 == 0 else rng.uniform(0.0, 0.5 * math.pi)
         z = rho * cmath.exp(1j * alpha)
         log_bound = math.log(greens_reduced_bound(t, x.r, rho)) - rho * rho * math.sin(2 * alpha) / (4 * t)
-        G = _kernel_grid(t, x, z, np.concatenate([theta, math.pi - theta]))
+        G = _kernel_grid(t, x.r, x.phi, z, np.concatenate([theta, math.pi - theta]))
         direct, image = G[0, :theta.size], G[1, theta.size:]
         with np.errstate(divide="ignore"):
             log_pair = np.log(np.abs(direct) + np.abs(G[1, :theta.size]))

@@ -100,7 +100,7 @@ def test_quad_value_matches_two_term_reference(kind, level):
         t, x, F = _field_point(rng)
         grid = _FresnelGrid(t, F, SPEC, x.r)
         terms = _two_term_terms(kind, t, x, F, grid.rho_max, n_rho, n_theta)
-        value, _ = grid.quad_value(kind, x, level)
+        value, _ = grid.quad_values(kind, [x], level)[0]
         assert abs(value - terms.sum()) <= 1e-13 * np.abs(terms).sum()
 
 
@@ -115,7 +115,7 @@ def test_greens_matches_two_term_formula():
             assert abs(greens(kind, t, x, PolarPoint(rho, theta)) - expected) <= 1e-13 * abs(expected)
             z = rho * complex(math.cos(0.6), math.sin(0.6))
             expected = complex(_two_term_kernel(kind, t, x, z, theta))
-            G = _kernel_grid(t, x, z, (theta, math.pi - theta))
+            G = _kernel_grid(t, x.r, x.phi, z, (theta, math.pi - theta))
             rotated = G[0, 0] + kind.sign * G[1, 1]
             assert abs(rotated - expected) <= 1e-13 * abs(expected)
 
@@ -182,12 +182,12 @@ def test_grid_kernel_has_no_boundary_sign():
     x = PolarPoint(1.0, 0.4)
     z = np.array([[0.5 + 0.5j], [2.0 + 2.0j]])
     theta = np.array([[-1.0, 0.3, 2.0]])
-    pair = _kernel_grid(0.8, x, z, theta)
+    pair = _kernel_grid(0.8, x.r, x.phi, z, theta)
     assert pair.shape == (2, 2, 3)
     neumann = _two_term_kernel(BoundaryKind.NEUMANN, 0.8, x, z, theta)
     dirichlet = _two_term_kernel(BoundaryKind.DIRICHLET, 0.8, x, z, theta)
     # the kinds' sum is twice the direct term, their difference twice the
     # reflected term, which is the image half at pi - theta
-    mirrored = _kernel_grid(0.8, x, z, math.pi - theta)[1]
+    mirrored = _kernel_grid(0.8, x.r, x.phi, z, math.pi - theta)[1]
     assert np.allclose(2.0 * pair[0], neumann + dirichlet, rtol=1e-13, atol=0)
     assert np.allclose(2.0 * mirrored, neumann - dirichlet, rtol=1e-13, atol=0)

@@ -90,9 +90,9 @@ def test_kernel_grid_matches_scipy_built_kernel(monkeypatch, alpha, tol):
         z = (rng.uniform(0.0, 25.0, 40) * complex(math.cos(alpha), math.sin(alpha)))[:, None]
         theta = rng.uniform(PHI_MIN, PHI_MAX, 30)[None, :]
         with np.errstate(under="ignore"):
-            got = greens_module._kernel_grid(t, x, z, theta)
+            got = greens_module._kernel_grid(t, x.r, x.phi, z, theta)
             with monkeypatch.context() as m:
                 m.setattr(greens_module, "wofz", _scipy_wofz)
-                want = greens_module._kernel_grid(t, x, z, theta)
+                want = greens_module._kernel_grid(t, x.r, x.phi, z, theta)
         assert np.isfinite(want).all() and (want != 0).all()
         assert _max_rel_err(got, want) <= tol
