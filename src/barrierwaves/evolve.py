@@ -61,7 +61,10 @@ depend on the batch it is evaluated in, so a point's value is the same
 alone or in any batch.  The per-point work left is one product-sum per
 level.  The operator series of ``field --method operator`` walks the
 same levels, with the datum's derivatives of each order in place of the
-datum.
+datum.  ``operator.build_table`` walks them from 96x80 up on a grid whose
+datum is the monomial z1^(N+1), so that the cutoff bounds its moments of
+order N; it takes each level's rule and kernel from the grid and adds only
+the moment weights.
 """
 
 from __future__ import annotations
@@ -111,8 +114,9 @@ class QuadratureSpec:
         Contour rotation angle, in (0, pi/2).  pi/4 maximizes the Gaussian
         decay rate sin(2*alpha)/(4t).
     tol : float
-        Target absolute accuracy; drives the refinement check and the
-        radial cutoff, which ``rho_max`` always derives from the tail bound.
+        Target absolute accuracy, finite and positive; drives the
+        refinement check and the radial cutoff, which ``rho_max`` always
+        derives from the tail bound.
     """
 
     alpha: float = 0.25 * math.pi
@@ -121,8 +125,8 @@ class QuadratureSpec:
     def __post_init__(self):
         if not 0.0 < self.alpha < 0.5 * math.pi:
             raise ValueError(f"alpha must lie in (0, pi/2), got {self.alpha}")
-        if not self.tol > 0:
-            raise ValueError(f"tol must be positive, got {self.tol}")
+        if not 0.0 < self.tol < math.inf:
+            raise ValueError(f"tol must be finite and positive, got {self.tol}")
 
 
 @dataclass(frozen=True)
@@ -319,9 +323,12 @@ def rho_max(spec: QuadratureSpec, t: float, r: float, B: float) -> float:
     TailBoundUnsatisfiable
         If no R below the cap (1e4) meets the tolerance.
     ValueError
-        If t is not finite and positive, or B not finite and nonnegative.
+        If t is not finite and positive, or r or B not finite and
+        nonnegative.
     """
     _check_time(t)
+    if not 0 <= r < math.inf:
+        raise ValueError(f"radius must be finite and nonnegative, got r={r}")
     if not 0 <= B < math.inf:
         raise ValueError(f"growth rate must be finite and nonnegative, got B={B}")
     a = math.sin(2.0 * spec.alpha) / (4.0 * t)
@@ -350,16 +357,6 @@ def rho_max(spec: QuadratureSpec, t: float, r: float, B: float) -> float:
         if hi - lo < 1e-9 * max(1.0, hi):
             break
     return hi
-
-
-def _paired_sum(kind, G, F, z1, z2, w2d) -> tuple[complex, float]:
-    """Sum of w2d * (D F(z1, z2) + sign * I F(-z1, z2)) over the grid, (D, I) = G,
-    and the sum of the moduli of its direct and image terms."""
-    terms = eval_datum(F, np.multiply.outer((1.0, -1.0), z1), z2)
-    terms *= G
-    terms *= w2d
-    direct, image = terms.sum(axis=(1, 2))
-    return complex(direct + kind.sign * image), float(np.abs(terms).sum())
 
 
 def _polar_rule(R: float, n_rho: int, n_theta: int, alpha: float = 0.0):
@@ -717,8 +714,12 @@ def psi_regularized_oracle(kind: BoundaryKind, t: float, x: PolarPoint,
         y1 = rho[:, None] * np.cos(th)[None, :]
         y2 = rho[:, None] * np.sin(th)[None, :]
         damp = np.exp(-eps * rho * rho)
-        w2d = (w_rho * damp)[:, None] * wth[None, :]
-        values.append(_paired_sum(kind, G, F, y1, y2, w2d)[0])
+        # the weighted sum of D F(y1, y2) + sign * I F(-y1, y2), (D, I) = G
+        terms = eval_datum(F, np.multiply.outer((1.0, -1.0), y1), y2)
+        terms *= G
+        terms *= (w_rho * damp)[:, None] * wth[None, :]
+        direct, image = terms.sum(axis=(1, 2))
+        values.append(complex(direct + kind.sign * image))
     # Lagrange extrapolation to eps = 0, full set and leave-first-out
     def lagrange_at_zero(xs, ys):
         total = 0.0 + 0.0j

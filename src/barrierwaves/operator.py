@@ -18,10 +18,12 @@ the boundary sign.
 
 Each coefficient obeys the certified bound ``coeff_bound``; a datum with
 derivative growth A*(e*B)^(n1+n2) then gives a convergent series whose
-total is controlled by ``log_continuity_constant``.  All tabulated c share
-one propagator evaluation on the node set of ``evolve._polar_rule``, so the
-operator route and the direct quadrature route differ only in the
-angular/radial weights.  ``field --method operator`` tabulates nothing:
+total is controlled by ``log_continuity_constant``.  ``build_table``
+samples the propagator through one ``evolve._FresnelGrid``, whose datum is
+the monomial z1^(N+1): the radial cutoff, each ladder level's nodes and
+weights and the one kernel call per level are the quadrature's own, and
+the table adds only the moment weights rho^(n1+n2+1) and
+cos(th)^n1 sin(th)^n2.  ``field --method operator`` tabulates nothing:
 ``evolve._FresnelGrid.series_samples`` contracts the same moments with the
 datum's derivatives order by order, on the quadrature's own nodes.
 
@@ -39,17 +41,15 @@ from scipy.special import gammaln
 
 from .complexfn import log_mittag_leffler_half
 from .geometry import PolarPoint
-from .greens import BoundaryKind, _check_time, _kernel_grid
+# _kernel_grid is unused here: a wrap target of bench/tracing.py, held by tests/test_bench_contract.py
+from .greens import BoundaryKind, _check_time, _kernel_grid  # noqa: F401
 from .evolve import (
     NonConvergence,
     QuadratureSpec,
     TailBoundUnsatisfiable,
     TaylorField,
-    _LADDER,
-    _polar_rule,
+    _FresnelGrid,
     _walk_ladder,
-    effective_growth_rate,
-    rho_max,
 )
 from .summation import CompensatedSum
 
@@ -173,11 +173,17 @@ def truncation_order(t: float, r: float, alpha: float, B: float, tol: float) -> 
         B already push the certified order beyond the cap even when the
         *actual* coefficient decay is long since sufficient; callers doing
         exploratory work catch this and fall back to the cap.
+    ValueError
+        If t or tol is not finite and positive, or r or B not finite and
+        nonnegative.
     """
-    if B < 0:
-        raise ValueError(f"growth rate must be nonnegative, got B={B}")
-    if tol <= 0:
-        raise ValueError(f"tol must be positive, got {tol}")
+    _check_time(t)
+    if not 0 <= r < math.inf:
+        raise ValueError(f"radius must be finite and nonnegative, got r={r}")
+    if not 0 <= B < math.inf:
+        raise ValueError(f"growth rate must be finite and nonnegative, got B={B}")
+    if not 0 < tol < math.inf:
+        raise ValueError(f"tol must be finite and positive, got {tol}")
     if B == 0.0:
         return 0
     log_weight = math.log(math.e * B)
@@ -255,10 +261,13 @@ def build_table(kind: BoundaryKind, t: float, x: PolarPoint, N: int,
                 spec: QuadratureSpec = QuadratureSpec()) -> CoeffTable:
     """Compute all coefficients with n1+n2 <= N from one propagator grid.
 
-    The propagator is evaluated once on the shared node set; every
-    coefficient is an angular/radial moment of that grid, so no entry sees
-    a different kernel evaluation.  The radial cutoff accounts for the
-    rho^(N+1) weight of the highest moments.  The table walks
+    The propagator is sampled through an ``evolve._FresnelGrid`` at x whose
+    datum is the monomial z1^(N+1), with envelope (A, B, degree) =
+    (1, 0, N + 1): the grid's radial cutoff then accounts for the
+    rho^(N+1) weight of the highest moments.  Each ladder level takes the
+    grid's rule and one kernel evaluation of the grid's, and every
+    coefficient is an angular/radial moment of that level, so no entry
+    sees a different kernel evaluation.  The table walks
     ``psi_fresnel``'s node ladder by the same rule, from 96x80 up: it is
     taken on the first level whose largest entrywise difference to the
     level below is at most spec.tol, and that difference is its
@@ -284,28 +293,26 @@ def build_table(kind: BoundaryKind, t: float, x: PolarPoint, N: int,
     n1g, n2g = np.meshgrid(np.arange(N + 1), np.arange(N + 1), indexing="ij")
     mg = n1g + n2g
     valid = mg <= N
-    B_eff = effective_growth_rate(0.0, N + 1, t, spec.alpha)
-    R = rho_max(spec, t, x.r, B_eff)
+    # the datum z1^(N+1) has the envelope (1, 0, N + 1), so the grid's
+    # cutoff carries the rho^(N+1) growth of the highest moments
+    grid = _FresnelGrid(t, TaylorField([[0.0]] * (N + 1) + [[1.0]]), spec, x.r)
 
-    def raw_moments(n_rho, n_theta):
-        rho, z, w_rho, th, wth = _polar_rule(R, n_rho, n_theta, spec.alpha)
-        G = _kernel_grid(t, x.r, x.phi, z[:, None], th[None, :])
-        # radial weights w * rho^(m+1) built multiplicatively
+    def raw_moments(i):
+        rho, _, w_rho, th, wth = grid.rule(i)
+        [G] = grid._kernels([x], i)
+        # radial weights w * rho^(m+1) (w_rho carries the first power), free
+        # of the series' 1/m!: the factorials scale the finished moments
         radial = np.empty((N + 1, rho.size))
         radial[0] = w_rho
-        for m in range(1, N + 1):
-            radial[m] = radial[m - 1] * rho
+        radial[1:] = rho
+        np.cumprod(radial, axis=0, out=radial)
         T_direct, T_image = radial @ G  # each (N+1, n_theta)
         # the image half sits at the mirror point (-z1, z2): factor (-1)^n1
-        sign = kind.sign
-        T = (T_direct + sign * T_image, T_direct - sign * T_image)
-        cos_pows = np.empty((N + 1, th.size))
-        sin_pows = np.empty((N + 1, th.size))
-        cos_pows[0] = 1.0
-        sin_pows[0] = 1.0
-        for n in range(1, N + 1):
-            cos_pows[n] = cos_pows[n - 1] * np.cos(th)
-            sin_pows[n] = sin_pows[n - 1] * np.sin(th)
+        T = (T_direct + kind.sign * T_image, T_direct - kind.sign * T_image)
+        # cos(th)^n and sin(th)^n, n = 0..N
+        pows = np.ones((2, N + 1, th.size))
+        pows[:, 1:] = np.array((np.cos(th), np.sin(th)))[:, None]
+        cos_pows, sin_pows = np.cumprod(pows, axis=1)
         raw = np.zeros((N + 1, N + 1), dtype=complex)
         for n1 in range(N + 1):
             u1 = cos_pows[n1] * wth
@@ -333,7 +340,7 @@ def build_table(kind: BoundaryKind, t: float, x: PolarPoint, N: int,
     # every level costs a full moment pass, so tables start on 96x80; the
     # table is the walk's one item
     [(raw, est_error, (n_rho, n_theta))] = _walk_ladder(
-        lambda i, _: [raw_moments(*_LADDER[i])], gap, spec.tol, 1, start=2)
+        lambda i, _: [raw_moments(i)], gap, spec.tol, 1, start=2)
     c = entries(raw)
     c.setflags(write=False)
     bound.setflags(write=False)
@@ -407,11 +414,14 @@ def apply_plane_wave(table: CoeffTable, k):
     Raises
     ------
     ValueError
-        If ``k`` is not of shape (2,) or (K, 2).
+        If ``k`` is not of shape (2,) or (K, 2), or a component is not
+        finite.
     """
     k = np.asarray(k, dtype=complex)
     if k.shape != (2,) and (k.ndim != 2 or k.shape[1] != 2):
         raise ValueError(f"wavevectors must have shape (2,) or (K, 2), got {k.shape}")
+    if not np.isfinite(k).all():
+        raise ValueError("wavevectors must be finite")
     batch = k.reshape(-1, 2)
     N = table.N
     ik = 1j * batch

@@ -157,13 +157,19 @@ def a1_distance(params: SuperoscParams, radius: float, growth: float) -> float:
     supremum, so treat the result as an observed gap, not a certificate.
     ``growth`` must majorize the exponential type of both functions,
     i.e. growth >= max(sqrt(2), |a_vec|).
+
+    Raises
+    ------
+    ValueError
+        If ``radius`` is not finite and positive, or ``growth`` is not
+        finite or does not majorize that type.
     """
-    if radius <= 0:
-        raise ValueError(f"radius must be positive, got {radius}")
+    if not 0 < radius < math.inf:
+        raise ValueError(f"radius must be finite and positive, got {radius}")
     a_norm = math.hypot(*params.a_vec)
-    if growth < max(SQRT2, a_norm) - 1e-12:
+    if not max(SQRT2, a_norm) - 1e-12 <= growth < math.inf:
         raise ValueError(
-            f"growth={growth} does not majorize the exponential type "
+            f"growth={growth} is not finite or does not majorize the exponential type "
             f"max(sqrt(2), {a_norm:.6g})")
     seq = superosc_sequence(params)
     phases = np.exp(2j * math.pi * np.arange(8) / 8.0)
@@ -237,7 +243,8 @@ def supershift_experiment(kind: BoundaryKind, t: float, x: PolarPoint,
         or an a1_dist is not finite (a target wave far outside the
         table's reach, e.g. a^p1 = 2^40).
     ValueError
-        From ``SuperoscParams``: a^p1 or a^p2 beyond double range.
+        From ``SuperoscParams``: a^p1 or a^p2 beyond double range.  From
+        ``truncation_order``: t not finite and positive.
     """
     params0 = SuperoscParams(a=a, p1=p1, p2=p2, n=max(n_list))
     family = [SuperoscParams(a=a, p1=p1, p2=p2, n=n) for n in sorted(n_list)]

@@ -56,7 +56,8 @@ def test_missing_time_is_usage_error(tmp_path):
     assert exc.value.code == 2
 
 
-@pytest.mark.parametrize("flags", [["--tol", "0"], ["--tol", "-1e-7"], ["--alpha", "0"]])
+@pytest.mark.parametrize("flags", [["--tol", "0"], ["--tol", "-1e-7"], ["--alpha", "0"],
+                                   ["--tol", "inf"]])
 def test_invalid_quadrature_spec_is_usage_error(tmp_path, flags):
     with pytest.raises(SystemExit) as exc:
         main(["field", "--t", "1", "--x", "1,1", "--plane-wave", "0.5,0.5",

@@ -143,6 +143,10 @@ def test_spec_validation():
         QuadratureSpec(alpha=math.pi / 2)
     with pytest.raises(ValueError):
         QuadratureSpec(tol=0.0)
+    # an infinite tol would accept the coarsest levels and the shortest cutoff
+    for tol in (math.inf, math.nan):
+        with pytest.raises(ValueError):
+            QuadratureSpec(tol=tol)
     # the node counts come from the fixed ladder, not from the spec
     with pytest.raises(TypeError):
         QuadratureSpec(n_rho=192)
@@ -182,6 +186,13 @@ def test_rho_max_rejects_non_finite_arguments(t, B):
     # a NaN growth rate used to slip past every comparison to the 1e4 cap
     with pytest.raises(ValueError):
         rho_max(SPEC, t, 1.0, B)
+
+
+@pytest.mark.parametrize("r", [math.nan, math.inf, -5.0])
+def test_rho_max_rejects_bad_radius(r):
+    # without the check a NaN radius gives the 1e4 cap, and r = -5 a cutoff of 5.33
+    with pytest.raises(ValueError, match="radius"):
+        rho_max(SPEC, 1.0, r, 0.5)
 
 
 @pytest.mark.parametrize("npan", [2, 5, 16, 32])

@@ -146,6 +146,34 @@ def test_table_inaccurate_at_192_climbs_to_the_top_level():
     assert abs(apply_plane_wave(table, k) - ref) <= 1e-5 * max(1.0, abs(ref))
 
 
+@pytest.mark.parametrize("case, levels", [
+    ((BoundaryKind.NEUMANN, 1.0, X, 10), [(96, 80), (192, 160)]),
+    (BAND_TABLE, [(96, 80), (192, 160), (384, 320)]),
+])
+def test_table_samples_the_kernel_through_the_quadrature_grid(monkeypatch, case, levels):
+    # a table makes no kernel call of its own: it takes one batched call of
+    # the quadrature grid per ladder level walked, from 96x80 up
+    import barrierwaves.evolve as evolve_module
+    import barrierwaves.operator as operator_module
+
+    def refuse(*args):
+        raise AssertionError("build_table called the kernel itself")
+
+    original, calls = evolve_module._kernel_grid, []
+
+    def counted(*args):
+        G = original(*args)
+        calls.append(G.shape)
+        return G
+
+    monkeypatch.setattr(operator_module, "_kernel_grid", refuse)
+    monkeypatch.setattr(evolve_module, "_kernel_grid", counted)
+    table = build_table(*case)
+    assert (table.n_rho, table.n_theta) == levels[-1]
+    assert [(shape[2], shape[3]) for shape in calls] == levels
+    assert [math.prod(shape) for shape in calls] == [2 * n_rho * n_theta for n_rho, n_theta in levels]
+
+
 def test_non_finite_table_raises_nonconvergence():
     # at t = 1e-4 the kernel overflows to NaN on the grid
     with np.errstate(all="ignore"), pytest.raises(NonConvergence):
@@ -310,6 +338,20 @@ def test_truncation_order_nonincreasing_tolerance_needs_more_terms():
 def test_truncation_order_unsatisfiable():
     with pytest.raises(TailBoundUnsatisfiable):
         truncation_order(1.0, 1.0, ALPHA, 1.0, 1e-5)
+
+
+@pytest.mark.parametrize("t, r, B, tol", [
+    (-1.0, 1.0, 0.1, 1e-5), (0.0, 1.0, 0.1, 1e-5), (math.inf, 1.0, 0.1, 1e-5),
+    (math.nan, 1.0, 0.1, 1e-5), (1.0, math.nan, 0.1, 1e-5), (1.0, -5.0, 0.1, 1e-5),
+    (1.0, math.inf, 0.1, 1e-5), (1.0, 1.0, math.nan, 1e-5), (1.0, 1.0, -0.1, 1e-5),
+    (1.0, 1.0, math.inf, 1e-5), (1.0, 1.0, 0.1, math.nan), (1.0, 1.0, 0.1, 0.0),
+    (1.0, 1.0, 0.1, math.inf), (-1.0, 1.0, 0.0, 1e-5),
+])
+def test_truncation_order_rejects_bad_inputs(t, r, B, tol):
+    # a bad input is a ValueError, neither a bare math domain error nor an
+    # unsatisfiable tail bound
+    with pytest.raises(ValueError):
+        truncation_order(t, r, ALPHA, B, tol)
 
 
 def _first_tail_below(log_terms, tol):
@@ -496,7 +538,9 @@ def test_batched_apply_at_zero_frequency_is_c00(tables_n10):
     assert (out == tab.c[0, 0]).all()
 
 
-@pytest.mark.parametrize("k", [(0.1,), (0.1, 0.2, 0.3), [[0.1, 0.2, 0.3]], [[[0.1, 0.2]]]])
+@pytest.mark.parametrize("k", [(0.1,), (0.1, 0.2, 0.3), [[0.1, 0.2, 0.3]], [[[0.1, 0.2]]],
+                               (math.nan, 0.2), (0.1, complex(0.2, math.inf)),
+                               [[0.1, 0.2], [math.inf, 0.0]]])
 def test_apply_plane_wave_rejects_malformed_wavevectors(tables_n10, k):
     with pytest.raises(ValueError):
         apply_plane_wave(tables_n10[BoundaryKind.NEUMANN], k)

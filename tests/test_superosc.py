@@ -247,11 +247,22 @@ def test_a1_distance_growth_guard():
         a1_distance(SuperoscParams(2.0, 1, 1, 8), 2.0, 1.0)
     with pytest.raises(ValueError):
         a1_distance(SuperoscParams(2.0, 1, 1, 8), -1.0, 3.0)
+    # non-finite radius or growth: a ValueError, not a NaN gap
+    for radius, growth in ((math.nan, 3.0), (math.inf, 3.0), (4.0, math.nan), (4.0, math.inf)):
+        with pytest.raises(ValueError):
+            a1_distance(SuperoscParams(2.0, 1, 1, 8), radius, growth)
 
 
 # ----------------------------------------------------------------------------
 # Evolved supershift
 # ----------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("t", [-1.0, 0.0, math.inf, math.nan])
+def test_supershift_rejects_bad_time(t):
+    # a ValueError that names the time, not a bare "math domain error"
+    with pytest.raises(ValueError, match="time must be finite and positive"):
+        supershift_experiment(BoundaryKind.NEUMANN, t, X, n_list=(4,))
 
 
 @pytest.fixture(scope="module")
