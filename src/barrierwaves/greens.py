@@ -71,6 +71,11 @@ def _check_time(t: float) -> None:
         raise ValueError(f"time must be finite and positive, got t={t}")
 
 
+def _check_radius(r: float) -> None:
+    if not 0 <= r < math.inf:
+        raise ValueError(f"radius must be finite and nonnegative, got r={r}")
+
+
 class StencilCrossesBarrier(ValueError):
     """A finite-difference stencil point fell on or across the barrier."""
 
@@ -259,8 +264,17 @@ def greens_reduced_bound(t: float, r: float, zabs: float) -> float:
     |cos(phi - theta)| <= 1, so it holds for either orientation of the
     pair.  Times the Gaussian factor's modulus it is the integrand majorant
     behind ``evolve.rho_max``.
+
+    Raises
+    ------
+    ValueError
+        If t is not finite and positive, or r or |z| not finite and
+        nonnegative.
     """
     _check_time(t)
+    _check_radius(r)
+    if not 0 <= zabs < math.inf:
+        raise ValueError(f"|z| must be finite and nonnegative, got {zabs}")
     return _ENVELOPE_PREF * math.exp(_ENVELOPE_RATE * r * zabs / t) / t
 
 

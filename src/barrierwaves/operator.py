@@ -42,7 +42,7 @@ from scipy.special import gammaln
 from .complexfn import log_mittag_leffler_half
 from .geometry import PolarPoint
 # _kernel_grid is unused here: a wrap target of bench/tracing.py, held by tests/test_bench_contract.py
-from .greens import BoundaryKind, _check_time, _kernel_grid  # noqa: F401
+from .greens import BoundaryKind, _check_radius, _check_time, _kernel_grid  # noqa: F401
 from .evolve import (
     NonConvergence,
     QuadratureSpec,
@@ -70,7 +70,17 @@ def _log_bound_factors(t: float, r: float, alpha: float) -> tuple[float, float]:
     """(log of pi^2/(2t) exp(9 r^2/(2 t sin 2alpha)), log of sqrt(16 t/sin 2alpha)).
 
     The two order-independent factors of ``coeff_bound``.
+
+    Raises
+    ------
+    ValueError
+        If t is not finite and positive, r not finite and nonnegative, or
+        alpha not in (0, pi/2).
     """
+    _check_time(t)
+    _check_radius(r)
+    if not 0.0 < alpha < 0.5 * math.pi:
+        raise ValueError(f"alpha must lie in (0, pi/2), got {alpha}")
     s = math.sin(2.0 * alpha)
     base = (
         math.log(math.pi * math.pi / (2.0 * t))
@@ -90,14 +100,14 @@ def coeff_bound(t: float, r: float, alpha: float, n1, n2):
     Raises
     ------
     ValueError
-        If t is not finite and positive, or an order is negative.
+        If t is not finite and positive, r not finite and nonnegative,
+        alpha not in (0, pi/2), or an order is negative.
     """
-    _check_time(t)
+    base, log_scale = _log_bound_factors(t, r, alpha)
     n1 = np.asarray(n1)
     n2 = np.asarray(n2)
     if np.any(n1 < 0) or np.any(n2 < 0):
         raise ValueError("orders must be nonnegative")
-    base, log_scale = _log_bound_factors(t, r, alpha)
     log_b = (base + (n1 + n2 + 2) * log_scale
              - gammaln((n1 + 1) / 2.0) - gammaln((n2 + 1) / 2.0))
     with np.errstate(over="ignore"):
@@ -178,8 +188,7 @@ def truncation_order(t: float, r: float, alpha: float, B: float, tol: float) -> 
         nonnegative.
     """
     _check_time(t)
-    if not 0 <= r < math.inf:
-        raise ValueError(f"radius must be finite and nonnegative, got r={r}")
+    _check_radius(r)
     if not 0 <= B < math.inf:
         raise ValueError(f"growth rate must be finite and nonnegative, got B={B}")
     if not 0 < tol < math.inf:
@@ -340,7 +349,7 @@ def build_table(kind: BoundaryKind, t: float, x: PolarPoint, N: int,
     # every level costs a full moment pass, so tables start on 96x80; the
     # table is the walk's one item
     [(raw, est_error, (n_rho, n_theta))] = _walk_ladder(
-        lambda i, _: [raw_moments(i)], gap, spec.tol, 1, start=2)
+        lambda i, _: [raw_moments(i)], gap, spec.tol, 1, start=(96, 80))
     c = entries(raw)
     c.setflags(write=False)
     bound.setflags(write=False)
@@ -453,12 +462,12 @@ def log_continuity_constant(t: float, r: float, alpha: float, B: float) -> float
     Raises
     ------
     ValueError
-        If t is not finite and positive, or B not finite and nonnegative.
+        If t is not finite and positive, r or B not finite and nonnegative,
+        or alpha not in (0, pi/2).
     """
-    _check_time(t)
-    if not 0 <= B < math.inf:
-        raise ValueError(f"growth rate must be finite and nonnegative, got B={B}")
     # (8 pi^2 / sin 2alpha) exp(9 r^2 / (2 t sin 2alpha)) = exp(base) * scale^2
     base, log_scale = _log_bound_factors(t, r, alpha)
+    if not 0 <= B < math.inf:
+        raise ValueError(f"growth rate must be finite and nonnegative, got B={B}")
     x = math.exp(log_scale) * math.e * B
     return base + 2.0 * log_scale + 2.0 * log_mittag_leffler_half(x)

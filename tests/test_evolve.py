@@ -20,6 +20,7 @@ from barrierwaves.evolve import (
     TailBoundUnsatisfiable,
     TaylorField,
     WaveSample,
+    _BATCH_NODES,
     _LADDER,
     _PANEL_ORDER,
     _gauss_panels,
@@ -38,11 +39,14 @@ from barrierwaves.operator import build_table
 
 X = PolarPoint(1.0, math.pi / 2)
 SPEC = QuadratureSpec()
-#: index of the 192x160 level
+#: indices of the 96x80 and 192x160 levels
+LEVEL_96 = _LADDER.index((96, 80))
 LEVEL_192 = _LADDER.index((192, 160))
-# (t, x, F) at r/sqrt(t) = 6.4: the Neumann value needs the 192x160 level,
+# (t, x, F) at r/sqrt(t) = 6.4: the Neumann value needs the 96x80 level,
 # and a cutoff from a looser kernel envelope leaves it unconverged
 FAR_CORNER = (0.5933, to_polar(CartesianPoint(3.434, -3.479)), PlaneWave(1.2435, 0.1245))
+#: (kind, t, x, F) whose value climbs to the 192x160 level
+REACHES_192 = (BoundaryKind.DIRICHLET, 0.36, PolarPoint(2.97, 3.39), PlaneWave(1.56, 1.04))
 
 
 # ----------------------------------------------------------------------------
@@ -286,23 +290,54 @@ def test_linearity_of_wave_superpositions():
     assert abs(lhs - rhs) <= 1e-10
 
 
+def test_ladder_rungs_refine_by_whole_panels():
+    # every count is a whole number of panels, and each level has more
+    # panels than the one below in both directions
+    for nodes in _LADDER:
+        assert all(n % _PANEL_ORDER == 0 for n in nodes)
+    for (n_rho, n_theta), (fine_rho, fine_theta) in zip(_LADDER, _LADDER[1:]):
+        assert fine_rho > n_rho and fine_theta > n_theta
+
+
+def test_node_cap_and_table_start_are_named_levels(monkeypatch):
+    # the batch cap is one 192x160 level and tables start on 96x80, however
+    # many levels lie below either
+    assert (192, 160) in _LADDER and _BATCH_NODES == 192 * 160 == 30_720
+    original, shapes = evolve_module._kernel_grid, []
+
+    def counted(*args):
+        G = original(*args)
+        shapes.append(G.shape[2:])
+        return G
+
+    monkeypatch.setattr(evolve_module, "_kernel_grid", counted)
+    build_table(BoundaryKind.DIRICHLET, 1.0, X, 4, SPEC)
+    assert shapes[0] == (96, 80)
+
+
 def test_mesh_doubling_shrinks_error_estimate():
     # each level of one grid refines the one below in both directions, so
     # the difference of successive levels, which is the estimate of the
-    # upper one, shrinks all the way up: here 2.6, 1.1e-3, 2.1e-8, 2.8e-12
+    # upper one, shrinks all the way up: here 1.9e-4, 4.4e-7, 6.2e-9,
+    # 9.7e-11 and 2.4e-14 from 48x48 to 384x320
     t, x, F = FAR_CORNER
     grid = _FresnelGrid(t, F, SPEC, x.r)
-    values = [grid.quad_values(BoundaryKind.NEUMANN, [x], i)[0][0] for i in range(len(_LADDER))]
-    gaps = [abs(fine - coarse) for coarse, fine in zip(values, values[1:])]
+    values = {nodes: grid.quad_values(BoundaryKind.NEUMANN, [x], i)[0][0]
+              for i, nodes in enumerate(_LADDER)}
+    gaps = [abs(values[fine] - values[coarse]) for coarse, fine in zip(_LADDER, _LADDER[1:])]
     assert gaps[-1] > 0
-    for coarse_gap, fine_gap in zip(gaps, gaps[1:]):
+    assert all(fine_gap < coarse_gap for coarse_gap, fine_gap in zip(gaps, gaps[1:]))
+    # without the 64x64 level, every step shrinks the difference 100-fold
+    old = [values[nodes] for nodes in ((32, 32), (48, 48), (96, 80), (192, 160), (384, 320))]
+    old_gaps = [abs(fine - coarse) for coarse, fine in zip(old, old[1:])]
+    for coarse_gap, fine_gap in zip(old_gaps, old_gaps[1:]):
         assert coarse_gap / fine_gap >= 100.0
 
 
 def test_finest_level_reproduces_fixed_pair():
-    # far from the barrier tip at moderate t the ladder climbs to 192x160,
+    # far from the barrier tip at small t the ladder climbs to 192x160,
     # where value and estimate are those of the (192x160, 96x80) pair
-    kind, t, x, F = BoundaryKind.DIRICHLET, 0.84, PolarPoint(3.15, 0.68), PlaneWave(-0.25, -1.19)
+    kind, t, x, F = REACHES_192
     s = psi_fresnel(kind, t, x, F, SPEC)
     assert (s.n_rho, s.n_theta) == (192, 160)
     grid = _FresnelGrid(t, F, SPEC, x.r)
@@ -328,8 +363,9 @@ def _seeded_ladder_points():
             F = TaylorField(np.where(n[:, None] + n[None, :] <= n[-1],
                                      rng.uniform(-1.0, 1.0, (n.size, n.size)), 0.0))
         yield kind, t, x, F
-    # far corner at r/sqrt(t) = 6.4, which needs the 192x160 level
+    # far corner at r/sqrt(t) = 6.4, which needs the 96x80 level
     yield BoundaryKind.NEUMANN, *FAR_CORNER
+    yield REACHES_192
 
 
 def test_ladder_agrees_with_finest_level_within_estimate():
@@ -339,8 +375,8 @@ def test_ladder_agrees_with_finest_level_within_estimate():
         levels.add(s.n_rho)
         reference, _ = _FresnelGrid(t, F, SPEC, x.r).quad_values(kind, [x], LEVEL_192)[0]
         assert abs(s.value - reference) <= s.est_error <= 10 * SPEC.tol
-    # the seeded points stop at every level above the coarsest
-    assert levels == {48, 96, 192}
+    # the seeded points stop at every level above the coarsest but the top
+    assert levels == {48, 64, 96, 192}
 
 
 @pytest.mark.parametrize("x1", [3.434, -3.434])
@@ -367,7 +403,7 @@ def test_corner_sweep_converges_within_estimate():
 
 def _grid_points():
     """Off-barrier points of a 5x5 grid on [-3, 3]^2; at t = 0.6 they stop
-    at 48x48, 96x80 and 192x160."""
+    at 48x48, 64x64 and 96x80."""
     grid = (CartesianPoint(x1, x2) for x2 in np.linspace(-3, 3, 5) for x1 in np.linspace(-3, 3, 5))
     return [to_polar(p) for p in grid if not on_barrier(p)]
 
@@ -393,7 +429,7 @@ def test_grid_call_agrees_with_single_point_calls(kind, F):
     t, points = 0.6, _grid_points()
     grid = psi_fresnel(kind, t, points, F, SPEC)
     assert [s.x for s in grid] == points
-    assert {s.n_rho for s in grid} == {48, 96, 192}
+    assert {s.n_rho for s in grid} == {48, 64, 96}
     R = max(s.rho_max for s in grid)
     for s in grid:
         single = psi_fresnel(kind, t, s.x, F, SPEC)
@@ -410,9 +446,9 @@ def test_grid_call_agrees_with_single_point_calls(kind, F):
 def test_grid_builds_each_level_once(monkeypatch):
     calls = _counting_eval_datum(monkeypatch)
     samples = psi_fresnel(BoundaryKind.DIRICHLET, 0.6, _grid_points(), PlaneWave(0.4, -0.3), SPEC)
-    # every level up to the finest one any point reached, 192x160, once for
-    # the grid; the 384x320 level, which no point reaches, is never built
-    assert calls == list(_LADDER[:LEVEL_192 + 1])
+    # every level up to the finest one any point reached, 96x80, once for
+    # the grid; the levels above it, which no point reaches, are never built
+    assert calls == list(_LADDER[:LEVEL_96 + 1])
     assert len(samples) > 4 * len(calls)
 
 
@@ -430,12 +466,12 @@ def test_shared_grid_levels_are_built_once_under_concurrency(monkeypatch):
             got = [f.result(timeout=120)[0] for f in futures]
     finally:
         sys.setswitchinterval(interval)
-    assert len(calls) == LEVEL_192 + 1
+    assert len(calls) == LEVEL_96 + 1
     assert got == expected * 3
 
 
 #: one datum of each kind, with the grid of ``_grid_points`` at t = 0.6
-#: stopping at 48x48, 96x80 and 192x160 for each of them
+#: stopping at 48x48, 64x64 and 96x80 for each of them
 _BATCH_DATA = [
     PlaneWave(0.4, -0.3),
     TaylorField([[0.5, 1.0], [-0.7, 0.0]]),
@@ -447,13 +483,14 @@ _BATCH_DATA = [
 @pytest.mark.parametrize("F", _BATCH_DATA, ids=["plane-wave", "taylor", "superposition"])
 def test_batched_walk_equals_one_point_walks(kind, F):
     # the grid's 22 points twice: the node cap splits their kernel calls
-    # on every level, into 30, 13 and 4 points on 32x32, 48x48 and 96x80
+    # on every level, into 30, 13, 7 and 4 points on 32x32, 48x48, 64x64
+    # and 96x80
     points = _grid_points()
     grid = _FresnelGrid(0.6, F, SPEC, max(p.r for p in points))
     batched = grid.samples(kind, points * 2)
     single = [grid.samples(kind, [p])[0] for p in points]
     assert batched == single * 2
-    assert {(s.n_rho, s.n_theta) for s in single} == {(48, 48), (96, 80), (192, 160)}
+    assert {(s.n_rho, s.n_theta) for s in single} == {(48, 48), (64, 64), (96, 80)}
 
 
 @pytest.mark.parametrize("kind", list(BoundaryKind))
@@ -466,7 +503,42 @@ def test_batched_series_walk_equals_one_point_walks(kind, F):
     for (sample, sums), (one, one_sums) in zip(batched, single, strict=True):
         assert sample == one
         assert np.array_equal(sums, one_sums)
-    assert {s.n_rho for s, _ in batched} == {48, 96, 192}
+    assert {s.n_rho for s, _ in batched} == {48, 64, 96}
+
+
+def _ladder_points():
+    """``_grid_points`` and two far points; at t = 0.6, on the cutoff of
+    the far ones, they stop at every level above 32x32."""
+    return _grid_points() + [to_polar(CartesianPoint(4.0, 4.0)), to_polar(CartesianPoint(-4.5, 4.5))]
+
+
+@pytest.mark.parametrize("kind", list(BoundaryKind))
+@pytest.mark.parametrize("series", [False, True], ids=["quadrature", "series"])
+def test_batched_walk_evaluates_each_point_on_its_own_levels(monkeypatch, kind, series):
+    # the kernel values of one batched walk add up to each point's levels
+    # from 32x32 to its own stop, and every point's sample is its own walk's
+    points, F = _ladder_points(), PlaneWave(0.4, -0.3)
+    grid = _FresnelGrid(0.6, F, SPEC, max(p.r for p in points))
+
+    def walk(batch):
+        if series:
+            return [s for s, _ in grid.series_samples(kind, batch, [60] * len(batch))]
+        return grid.samples(kind, batch)
+
+    single = [walk([p])[0] for p in points]
+    original, sizes = evolve_module._kernel_grid, []
+
+    def counted(*args):
+        G = original(*args)
+        sizes.append(G.size)
+        return G
+
+    monkeypatch.setattr(evolve_module, "_kernel_grid", counted)
+    assert walk(points) == single
+    stops = [_LADDER.index((s.n_rho, s.n_theta)) for s in single]
+    assert {_LADDER[stop] for stop in stops} == set(_LADDER[1:])
+    assert sum(sizes) == sum(2 * n_rho * n_theta
+                             for stop in stops for n_rho, n_theta in _LADDER[:stop + 1])
 
 
 def test_batched_kernel_equals_one_point_kernels():
@@ -520,6 +592,13 @@ def test_estimate_is_floored_at_the_rounding_of_the_sum():
     assert abs(s.value - reference) <= s.est_error <= 10 * SPEC.tol
 
 
+def test_underflowing_tail_tolerance_names_the_envelope_factor():
+    # tol / A = 1e-330 underflows to 0; the error names the caller's tol
+    # and A, not the quotient
+    with pytest.raises(TailBoundUnsatisfiable, match=r"tol=1e-30 .* A=1\.000e\+300"):
+        psi_fresnel(BoundaryKind.DIRICHLET, 1.0, X, TaylorField([[1e300]]), QuadratureSpec(tol=1e-30))
+
+
 def test_nonconvergence_on_starved_mesh():
     # no level meets 10 * tol below the rounding of its own sum, since
     # est_error >= eps * sum |terms| >= eps * |value|, so the walk runs out
@@ -535,7 +614,7 @@ def test_nonconvergence_on_starved_mesh():
     ((1.0, 1e-3, 5e-7, 1e-12), 0, 4),
     ((5e-7, 1e-12), 2, 4),
     # the top level is accepted up to 10 * tol
-    ((1.0, 1.0, 1.0, 9e-7), 0, 4),
+    ((1.0, 1.0, 1.0, 1.0, 9e-7), 0, 5),
     ((1e-8,), 3, 4),
 ])
 def test_walk_ladder_rule(gaps, start, level):
@@ -549,7 +628,7 @@ def test_walk_ladder_rule(gaps, start, level):
         return [values[i - start]]
 
     [(value, est, nodes)] = _walk_ladder(evaluate, lambda fine, coarse: abs(fine - coarse),
-                                         1e-7, 1, start)
+                                         1e-7, 1, _LADDER[start])
     assert (value, nodes) == (values[level - start], _LADDER[level])
     assert est == abs(values[level - start] - values[level - start - 1])
     assert calls == list(range(start, level + 1))
@@ -557,7 +636,7 @@ def test_walk_ladder_rule(gaps, start, level):
 
 @pytest.mark.parametrize("top_gap", [1.1e-6, math.nan])
 def test_walk_ladder_raises_on_the_top_level(top_gap):
-    values = [0.0, 1.0, 2.0, 3.0, 3.0 + top_gap]
+    values = [0.0, 1.0, 2.0, 3.0, 4.0, 4.0 + top_gap]
     with pytest.raises(NonConvergence, match=r"refinement estimate .* exceeds 10\*tol=1\.000e-06 "
                        r"\(n_rho=384, n_theta=320\)$"):
         _walk_ladder(lambda i, active: [values[i]], lambda fine, coarse: abs(fine - coarse), 1e-7, 1)

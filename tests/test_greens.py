@@ -190,6 +190,26 @@ def test_non_finite_time_rejected(call, t):
         call(t)
 
 
+@pytest.mark.parametrize("call", [
+    lambda: coeff_bound(1.0, math.nan, math.pi / 4, 0, 0),
+    lambda: coeff_bound(1.0, 1.0, math.nan, 0, 0),
+    lambda: coeff_bound(1.0, -1.0, math.pi / 4, 0, 0),
+    lambda: coeff_bound(1.0, 1.0, math.pi / 2, 0, 0),
+    lambda: log_continuity_constant(1.0, math.nan, math.pi / 4, 1.0),
+    lambda: log_continuity_constant(1.0, 1.0, math.nan, 1.0),
+    lambda: greens_reduced_bound(1.0, math.nan, 1.0),
+    lambda: greens_reduced_bound(1.0, -1.0, 1.0),
+    lambda: greens_reduced_bound(1.0, 1.0, math.nan),
+], ids=["coeff_bound-nan-r", "coeff_bound-nan-alpha", "coeff_bound-negative-r",
+        "coeff_bound-alpha-pi/2", "log_continuity_constant-nan-r",
+        "log_continuity_constant-nan-alpha", "greens_reduced_bound-nan-r",
+        "greens_reduced_bound-negative-r", "greens_reduced_bound-nan-z"])
+def test_bounds_reject_bad_radius_or_angle(call):
+    # each case once returned a number (nan, or 2262.4 for r = -1)
+    with pytest.raises(ValueError):
+        call()
+
+
 # ----------------------------------------------------------------------------
 # Rotated radius
 # ----------------------------------------------------------------------------
