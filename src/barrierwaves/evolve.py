@@ -39,15 +39,23 @@ Gauss-Legendre in rho itself stalls near the origin.
 
 Accuracy is controlled by a fixed coarse-to-fine ladder of tensor rules
 on one radial cutoff, 32x32, 48x48, 64x64, 96x80, 192x160 and 384x320
-nodes (``_LADDER``), evaluated from the coarsest up; the first level that
-agrees with the level below to within ``tol`` is returned with that
-difference as its error estimate, floored at the rounding error
-eps * sum |terms| of the level's own sum.  Each level is the error
-estimate of the next, so no node is evaluated beyond the first converged
-level.  ``_walk_ladder`` is that walk for values and coefficient tables
-alike.  On the benchmark's field range 99 % of the points stop at 48x48
-or 64x64: the 64x64 level (4x4 panels) lets the points that miss 48x48
-stop there instead of on 96x80, at 0.53 times its nodes.
+nodes (``_LADDER``), evaluated from the coarsest up.  A field value's
+level is accepted when either of two error estimates is within ``tol``:
+its own, from its own Gauss nodes (``_panel_error``), or its difference
+to the level below; the first level has only its own.  The own estimate
+takes, per block of 16x16 nodes, the Legendre coefficients of the
+weighted terms summed along theta and along rho, fits a geometric decay
+to the last of them and carries it to degree 32, the first degree a
+16-node Gauss rule misses (Berntsen & Espelid, ACM TOMS 17, 1991).  The
+estimate that accepted the level is returned: the difference when it is
+within ``tol``, else the own estimate, which a level computes only for
+the points whose difference does not accept them; either is floored at
+the rounding error eps * sum |terms| of the level's own sum.  No node
+is evaluated beyond the first accepted level.  ``_walk_ladder``
+is that walk for values, operator series and coefficient tables alike;
+the series and the tables have no own estimate and are judged on the
+difference alone.  On the benchmark's field range 38 % of the points stop
+at 32x32 on their own estimate, 43 % at 48x48 and 18 % at 64x64.
 
 Only the kernel depends on the evaluation point x: the cutoff, the nodes,
 the tensor weights and the datum at the nodes depend on t, F and the spec
@@ -57,12 +65,14 @@ bounds the tail of every point of the batch, and builds each ladder level
 it reaches once, with the datum already multiplied by the weights
 (``_FresnelGrid``).  The batch walks the ladder level by level: each
 level evaluates the kernel once for all the points that have not yet
-converged below it, with their r and phi on a leading points axis, in
-calls of at most one 192x160 level's nodes (``_BATCH_NODES``), and each
-point still stops at its own level.  A node's kernel value does not
-depend on the batch it is evaluated in, so a point's value is the same
-alone or in any batch.  The per-point work left is one product-sum per
-level.  The operator series of ``field --method operator`` walks the
+been accepted below it, with their r and phi on a leading points axis, in
+calls of at most one 192x160 level's nodes (``_BATCH_NODES``), contracts
+each call's kernel values with the datum in one pass that also gives
+the own error estimates the points need, and each point still stops at
+its own level.  A node's kernel value does not depend on the batch it is
+evaluated in, and every sum and matmul after it has the same shape for
+each point, so a point's value and estimates are the same alone or in
+any batch.  The operator series of ``field --method operator`` walks the
 same levels, with the datum's derivatives of each order in place of the
 datum.  ``operator.build_table`` walks them from 96x80 up on a grid whose
 datum is the monomial z1^(N+1), so that the cutoff bounds its moments of
@@ -78,7 +88,7 @@ from collections.abc import Sequence
 from dataclasses import dataclass, replace
 
 import numpy as np
-from numpy.polynomial.legendre import leggauss
+from numpy.polynomial.legendre import leggauss, legvander
 
 from .geometry import PHI_MAX, PHI_MIN, PolarPoint
 from .greens import (_ENVELOPE_PREF, _ENVELOPE_RATE, BoundaryKind, _check_radius, _check_time,
@@ -110,7 +120,7 @@ class QuadratureSpec:
 
     The node counts are not parameters: every quadrature walks the fixed
     ladder ``_LADDER`` (32x32, 48x48, 64x64, 96x80, 192x160 and 384x320
-    nodes) and stops where its refinement estimate meets ``tol``.
+    nodes) and stops where an error estimate meets ``tol``.
 
     Attributes
     ----------
@@ -218,14 +228,16 @@ InitialDatum = PlaneWave | TaylorField | DiscreteSuperposition
 
 @dataclass(frozen=True)
 class WaveSample:
-    """One evaluated solution value with its refinement error estimate.
+    """One evaluated solution value with its error estimate.
 
     ``n_rho`` and ``n_theta`` are the node counts of the ladder level that
-    was returned; ``est_error`` is its difference to the level below, or
-    the rounding floor eps * sum |terms| when that is larger.  Both levels
-    share the radial cutoff ``rho_max``, so ``est_error`` does not see the
-    tail beyond it; that tail, at most the spec's ``tol`` by the choice of
-    the cutoff, comes on top of it.
+    was returned.  ``est_error`` is the estimate that accepted that level:
+    its difference to the level below when that is within ``tol``, else
+    the level's estimate of its own error from its own nodes; and at
+    least the rounding floor eps * sum |terms|.
+    Both estimates are taken on the radial cutoff ``rho_max``, so
+    ``est_error`` does not see the tail beyond it; that tail, at most the
+    spec's ``tol`` by the choice of the cutoff, comes on top of it.
     """
 
     value: complex
@@ -291,6 +303,50 @@ def _gauss_panels(a: float, b: float, n: int):
     half = 0.5 * (edges[1] - edges[0])
     mids = 0.5 * (edges[1:] + edges[:-1])
     return (mids[:, None] + half * _PANEL_NODES).ravel(), np.tile(half * _PANEL_WEIGHTS, npan)
+
+
+#: Legendre analysis of one panel: row j times the panel's weighted terms
+#: is h * c_j, the panel's half-width h times the j-th Legendre coefficient
+#: of the integrand on it (the rule integrates f * P_j exactly for f of
+#: degree below 32 - j)
+_PANEL_COEFFS = (legvander(_PANEL_NODES, _PANEL_ORDER - 1) * (np.arange(_PANEL_ORDER) + 0.5)).T
+#: |Q(P_32)| = 0.307, the panel rule's error on P_32, the first Legendre
+#: polynomial it does not integrate exactly
+_PANEL_MISS = abs(float(_PANEL_WEIGHTS @ legvander(_PANEL_NODES, 2 * _PANEL_ORDER)[:, -1]))
+#: sums one panel's complex terms, viewed as (re, im) pairs of floats
+_PANEL_SUM = np.tile(np.eye(2), (_PANEL_ORDER, 1))
+
+
+def _panel_error(along_theta: np.ndarray, along_rho: np.ndarray) -> np.ndarray:
+    """Per point, an estimate of a tensor level's error from its own terms.
+
+    ``along_theta`` (points, n_rho, theta panels) holds the weighted terms
+    summed over each panel's theta nodes, ``along_rho`` (points, rho
+    panels, n_theta) summed over each panel's rho nodes.  To first order
+    the tensor rule's error is the rho rule's error on the theta sums plus
+    the theta rule's error on the rho sums.  So for every block of 16x16
+    nodes and both kinds of sums, the largest of the Legendre coefficients
+    h * |c_12| .. h * |c_15| is carried the 17 degrees from 15 to 32 at the
+    decay ratio over four degrees fitted from h * |c_8| .. h * |c_11| (at
+    most 1), and multiplied by the panel rule's error on P_32; the blocks'
+    errors add up, and a NaN coefficient makes the estimate NaN.  Every
+    matmul has the same shape for each point, whatever the batch, so a
+    point's estimate has the same bits in any batch.
+    """
+    count, n_rho, theta_panels = along_theta.shape
+    rho_panels = n_rho // _PANEL_ORDER
+    # per point, both kinds of panel run with the node axis first:
+    # (points, 16, 2, blocks), one matmul of fixed shape per point
+    runs = np.stack([
+        along_theta.reshape(count, rho_panels, _PANEL_ORDER, theta_panels).transpose(0, 2, 1, 3),
+        along_rho.reshape(count, rho_panels, theta_panels, _PANEL_ORDER).transpose(0, 3, 1, 2),
+    ], axis=2)
+    coeffs = (_PANEL_COEFFS @ runs.reshape(count, _PANEL_ORDER, -1).view(float)).view(complex)
+    coeffs = np.abs(coeffs).swapaxes(0, 1)
+    last = coeffs[12:].max(axis=0)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ratio = np.fmin(last / coeffs[8:12].max(axis=0), 1.0)
+    return (_PANEL_MISS * last * ratio ** 4.25).sum(axis=-1)
 
 
 def effective_growth_rate(B: float, degree: int, t: float, alpha: float) -> float:
@@ -378,35 +434,61 @@ def _polar_rule(R: float, n_rho: int, n_theta: int, alpha: float = 0.0):
     return rho, z, 2.0 * u * wu * rho, th, wth
 
 
+def _gap(value: complex, below: complex, moduli: float) -> float:
+    """A level's difference to the level below, floored at the rounding
+    eps * sum |terms| of its own sum, since a difference below that says
+    nothing; infinite when the difference overflows."""
+    try:
+        return max(abs(value - below), _EPS * moduli)
+    except OverflowError:
+        return math.inf
+
+
 def _walk_ladder(evaluate, gap, tol: float, count: int,
-                 start: tuple[int, int] = _LADDER[0]) -> list:
+                 start: tuple[int, int] = _LADDER[0], estimate=None) -> list:
     """For each of ``count`` items, (value, estimate, (n_rho, n_theta)) of
-    the first ladder level above ``start`` whose estimate
-    ``gap(fine, coarse)`` against the level below is at most ``tol``.
-    ``start`` is the (n_rho, n_theta) of the level the walk begins on, so
-    a caller names it by its node counts, not by its place in the ladder.
+    the first ladder level from ``start`` up that is accepted.  ``start``
+    is the (n_rho, n_theta) of the level the walk begins on, so a caller
+    names it by its node counts, not by its place in the ladder.
+
+    A level is accepted when ``gap(fine, coarse)``, its difference to the
+    level below, or ``estimate(fine)``, the level's estimate of its own
+    error, is at most ``tol``; the first level has no level below, so it
+    is judged on its own estimate alone.  The returned estimate is the gap
+    when it accepts, else the level's own, and ``estimate`` is asked only
+    when the gap does not accept.  A NaN or infinite estimate accepts
+    nothing.  Without ``estimate`` (tables, operator series) every level
+    is judged on its gap alone, so the first level is never accepted.
 
     The walk is level-major: ``evaluate(i, active)`` gives level i's values
     of the items whose indices are listed in ``active``, those that have
-    not converged below level i, so a level is evaluated once for all the
-    items that reach it and for no other.  The top level is accepted up to
-    10 * tol; otherwise ``NonConvergence`` names it, for the first such
-    item.  Overflow is left to the estimate, which is then not finite.
+    not been accepted below level i, so a level is evaluated once for all
+    the items that reach it and for no other.  The top level is accepted
+    up to 10 * tol; otherwise ``NonConvergence`` names its gap, for the
+    first such item.  Overflow is left to the estimates, which are then not
+    finite.
     """
     first = _LADDER.index(start)
+    top = len(_LADDER) - 1
     results = [None] * count
     active = list(range(count))
+    coarse = [None] * count
     with np.errstate(over="ignore", invalid="ignore"):
-        coarse = evaluate(first, active) if active else []
-        for i in range(first + 1, len(_LADDER)):
+        for i in range(first, top + 1):
             if not active:
                 break
             fine = evaluate(i, active)
+            limit = 10.0 * tol if i == top else tol
             climbing = []
             for j, f, c in zip(active, fine, coarse):
-                est = gap(f, c)
-                if est <= tol or i == len(_LADDER) - 1:
-                    results[j] = (f, est, _LADDER[i])
+                step = gap(f, c) if i > first else math.nan
+                # a NaN estimate fails every test, so it accepts nothing
+                if step <= limit:
+                    results[j] = (f, step, _LADDER[i])
+                elif estimate is not None and (own := estimate(f)) <= limit:
+                    results[j] = (f, own, _LADDER[i])
+                elif i == top:
+                    results[j] = (f, step, _LADDER[i])
                 else:
                     climbing.append((j, f))
             active = [j for j, _ in climbing]
@@ -461,7 +543,8 @@ class _FresnelGrid:
     read the same arrays.  A sequence of points walks the ladder together
     (``samples``, ``series_samples``): per level, one kernel call for each
     batch of at most ``_BATCH_NODES`` nodes of the points still walking,
-    then one product-sum per point.
+    then, for field values, one contraction of the whole batch with the
+    datum (``quad_values``) and, for the series, one product-sum per point.
 
     The same cutoff and nodes serve the operator series sum_{m<=N} S_m,
     S_m = sum_{n1+n2=m} c_{n1,n2} d^{n1+n2}F(0) (``series_samples``).  With
@@ -550,37 +633,61 @@ class _FresnelGrid:
         angular.setflags(write=False)
         return radial, angular
 
-    def _kernels(self, points: Sequence[PolarPoint], i: int):
-        """The kernel pair of each of ``points`` on ladder level ``i``, in
-        order, each of shape (2, n_rho, n_theta).
-
-        The points go to ``_kernel_grid`` in batches of at most
-        ``_BATCH_NODES`` nodes, one call per batch, with their radii and
-        angles on a leading points axis.
-        """
+    def _kernel_batches(self, points: Sequence[PolarPoint], i: int):
+        """The kernel pairs of ``points`` on ladder level ``i``, one array of
+        shape (2, points, n_rho, n_theta) per batch of at most
+        ``_BATCH_NODES`` nodes, from one ``_kernel_grid`` call each, with
+        the radii and angles on a leading points axis."""
         _, z, _, th, _ = self.rule(i)
         size = max(1, _BATCH_NODES // (z.size * th.size))
         for lo in range(0, len(points), size):
             batch = points[lo:lo + size]
             r = np.array([p.r for p in batch])[:, None, None]
             phi = np.array([p.phi for p in batch])[:, None, None]
-            yield from _kernel_grid(self.t, r, phi, z[:, None], th[None, :]).swapaxes(0, 1)
+            yield _kernel_grid(self.t, r, phi, z[:, None], th[None, :])
 
-    def quad_values(self, kind: BoundaryKind, points: Sequence[PolarPoint], i: int
-                    ) -> list[tuple[complex, float]]:
+    def _kernels(self, points: Sequence[PolarPoint], i: int):
+        """The kernel pair of each of ``points`` on ladder level ``i``, in
+        order, each of shape (2, n_rho, n_theta), from ``_kernel_batches``."""
+        for G in self._kernel_batches(points, i):
+            yield from G.swapaxes(0, 1)
+
+    def quad_values(self, kind: BoundaryKind, points: Sequence[PolarPoint], i: int,
+                    below: Sequence[complex | None] | None = None) -> list[tuple[complex, float, float]]:
         """One tensor quadrature pass on ladder level ``i`` at each of
-        ``points``: [(value, sum of |terms|)].
+        ``points``: [(value, sum of |terms|, estimate of the level's error)].
 
         The sum is of w * (D F(z1, z2) + sign * I F(-z1, z2)) over the
         level's nodes, (D, I) the kernel pair of ``greens._kernel_grid``.
+        Each batch of points is contracted with the datum in one pass, and
+        the error estimate (``_panel_error``), floored at eps * sum |terms|,
+        comes from the same terms.  ``below`` may give each point's value
+        on the level below, or None; a point whose difference to it is
+        within tol is accepted on that difference, so its estimate is not
+        computed and reads NaN.
         """
         datum = self.level(i)
+        n_rho, n_theta = _LADDER[i]
         out = []
-        for terms in self._kernels(points, i):
-            terms *= datum
-            direct, image = terms.sum(axis=(1, 2))
-            out.append((self._phase * complex(direct + kind.sign * image),
-                        float(np.abs(terms).sum())))
+        for terms in self._kernel_batches(points, i):
+            terms *= datum[:, None]
+            count, offset = terms.shape[1], len(out)
+            # each half summed over every panel's theta nodes, by a real
+            # matmul whose products by 1 and 0 are exact
+            direct, image = ((half.view(float).reshape(count, -1, 2 * _PANEL_ORDER) @ _PANEL_SUM)
+                             .view(complex) for half in terms)
+            along_theta = (direct + kind.sign * image).reshape(count, n_rho, -1)
+            values = (self._phase * along_theta.reshape(count, -1).sum(axis=-1)).tolist()
+            moduli = np.abs(terms).sum(axis=(2, 3)).sum(axis=0)
+            own = [k for k in range(count) if below is None or below[offset + k] is None
+                   or not _gap(values[k], below[offset + k], moduli[k]) <= self.spec.tol]
+            errors = np.full(count, math.nan)
+            if own:
+                # each half summed over every panel's rho nodes
+                along_rho = terms.reshape(2, count, -1, _PANEL_ORDER, n_theta).sum(axis=-2)
+                along_rho = along_rho[0] + kind.sign * along_rho[1]
+                errors[own] = np.maximum(_panel_error(along_theta[own], along_rho[own]), _EPS * moduli[own])
+            out.extend(zip(values, moduli.tolist(), errors.tolist()))
         return out
 
     def series_values(self, kind: BoundaryKind, points: Sequence[PolarPoint],
@@ -605,11 +712,19 @@ class _FresnelGrid:
 
     def samples(self, kind: BoundaryKind, points: Sequence[PolarPoint]) -> list[WaveSample]:
         """Walk the ladder at each of ``points``, whose radii are at most
-        ``r_max``, up to its first converged level; a level is built only
+        ``r_max``, up to its first accepted level; a level is built only
         when some point reaches it."""
         points = list(points)
-        walked = self._walk(kind, points, lambda i, active: self.quad_values(
-            kind, [points[j] for j in active], i))
+        # each point's value on the last level it was evaluated on
+        below = [None] * len(points)
+
+        def evaluate(i, active):
+            fine = self.quad_values(kind, [points[j] for j in active], i, [below[j] for j in active])
+            for j, f in zip(active, fine):
+                below[j] = f[0]
+            return fine
+
+        walked = self._walk(kind, points, evaluate, estimate=lambda fine: fine[2])
         return [sample for sample, _ in walked]
 
     def series_samples(self, kind: BoundaryKind, points: Sequence[PolarPoint],
@@ -624,17 +739,13 @@ class _FresnelGrid:
             kind, [points[j] for j in active], [orders[j] for j in active], i))
         return [(sample, fine[2]) for sample, fine in walked]
 
-    def _walk(self, kind: BoundaryKind, points: list[PolarPoint], evaluate):
-        """Per point, the sample of its first converged level and that
-        level's (value, sum of |terms|, ...) from ``evaluate``."""
-        def gap(fine, coarse):
-            try:
-                # a difference below the rounding of the sum itself says nothing
-                return max(abs(fine[0] - coarse[0]), _EPS * fine[1])
-            except OverflowError:
-                return math.inf
-
-        walked = _walk_ladder(evaluate, gap, self.spec.tol, len(points))
+    def _walk(self, kind: BoundaryKind, points: list[PolarPoint], evaluate, estimate=None):
+        """Per point, the sample of its first accepted level and that
+        level's (value, sum of |terms|, ...) from ``evaluate``;
+        ``estimate``, if given, takes such a tuple to the level's estimate
+        of its own error (``_walk_ladder``)."""
+        walked = _walk_ladder(evaluate, lambda fine, coarse: _gap(fine[0], coarse[0], fine[1]),
+                              self.spec.tol, len(points), estimate=estimate)
         return [(WaveSample(value=fine[0], est_error=est, t=self.t, x=x, kind=kind,
                             rho_max=self.rho_max, n_rho=n_rho, n_theta=n_theta), fine)
                 for x, (fine, est, (n_rho, n_theta)) in zip(points, walked)]
@@ -654,21 +765,25 @@ def psi_fresnel(kind: BoundaryKind, t: float, x: PolarPoint | Sequence[PolarPoin
 
     At each point the tensor rules of the fixed node ladder (32x32, 48x48,
     64x64, 96x80, 192x160 and 384x320 nodes) are evaluated from the
-    coarsest up, all on one radial cutoff, and the first level whose
-    difference to the level below is at most ``spec.tol`` is returned;
-    that difference, or eps times the sum of the moduli of the level's
-    terms (the rounding of the sum) when that is larger, is reported as
-    ``est_error``.  Each point stops at its own level, and a level no
-    point reaches is never built.
-    The finest level is accepted up to 10 * spec.tol.  ``est_error`` compares
-    two levels on one cutoff; the tail beyond the cutoff, at most
-    ``spec.tol``, comes on top of it.
+    coarsest up, all on one radial cutoff, and the first level whose own
+    error estimate (from the Legendre coefficients of its terms on each
+    16x16 block of nodes) or whose difference to the level below is at
+    most ``spec.tol`` is returned; the first level is judged on its own
+    estimate alone, and a level computes its own estimate only where the
+    difference does not accept.  The estimate that accepted the level,
+    or eps times the sum of the moduli of the level's terms (the rounding
+    of the sum) when that is larger, is reported as ``est_error``.  Each point stops at its own level, and a
+    level no point reaches is never built.
+    The finest level is accepted up to 10 * spec.tol.  ``est_error`` is
+    taken on one cutoff; the tail beyond it, at most ``spec.tol``, comes
+    on top of it.
 
     Raises
     ------
     NonConvergence
-        If at some point the finest level differs from the level below by
-        more than 10 * spec.tol, or the difference is not a number.
+        If at some point neither estimate of the finest level is within
+        10 * spec.tol (the message names its difference to the level
+        below), or that difference is not a number.
     TailBoundUnsatisfiable
         Propagated from the radial cutoff search.
     ValueError

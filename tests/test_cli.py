@@ -368,8 +368,9 @@ def test_field_operator_matches_quadrature(tmp_path):
 
 
 def test_field_thread_count_does_not_change_bytes(tmp_path):
-    # at t = 0.6 the quadrature grid's points stop at 48x48, 64x64 and
-    # 96x80, so the threads share every level they reach
+    # at t = 0.6 the quadrature grid's points stop at 32x32 (the plane
+    # wave's, on their own estimate), 48x48, 64x64 and 96x80, so the
+    # threads share every level they reach
     cases = [
         (["--plane-wave", "0.4,-0.3"], "quadrature", "-3:3:5,-3:3:5"),
         (["--taylor", "0.5 1; -0.7"], "quadrature", "-3:3:5,-3:3:5"),
@@ -399,7 +400,7 @@ def test_field_kernel_calls_cover_each_point_level_once(tmp_path, monkeypatch, t
     points = [to_polar(c) for c in cart if not on_barrier(c)]
     samples = evolve.psi_fresnel(BoundaryKind.DIRICHLET, 0.6, points, evolve.PlaneWave(0.4, -0.3))
     stops = [evolve._LADDER.index((s.n_rho, s.n_theta)) for s in samples]
-    assert {evolve._LADDER[stop] for stop in stops} == {(48, 48), (64, 64), (96, 80)}
+    assert {evolve._LADDER[stop] for stop in stops} == {(32, 32), (48, 48), (64, 64), (96, 80)}
     expected_calls, expected_values = {}, 0
     for chunk in cli_module._contiguous_chunks(stops, threads):
         for i, (n_rho, n_theta) in enumerate(evolve._LADDER):

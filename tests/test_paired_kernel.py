@@ -100,7 +100,7 @@ def test_quad_value_matches_two_term_reference(kind, level):
         t, x, F = _field_point(rng)
         grid = _FresnelGrid(t, F, SPEC, x.r)
         terms = _two_term_terms(kind, t, x, F, grid.rho_max, n_rho, n_theta)
-        value, _ = grid.quad_values(kind, [x], level)[0]
+        value = grid.quad_values(kind, [x], level)[0][0]
         assert abs(value - terms.sum()) <= 1e-13 * np.abs(terms).sum()
 
 
@@ -126,10 +126,15 @@ def test_ladder_stops_where_two_term_reference_stops():
         kind = (BoundaryKind.DIRICHLET, BoundaryKind.NEUMANN)[i % 2]
         t, x, F = _field_point(rng)
         s = psi_fresnel(kind, t, x, F, SPEC)
-        coarse = _two_term_terms(kind, t, x, F, s.rho_max, *_LADDER[0]).sum()
-        for n_rho, n_theta in _LADDER[1:]:
+        grid = _FresnelGrid(t, F, SPEC, x.r)
+        # a level stops the walk when the paired rule's estimate of its own
+        # error (its summands differ from the two-term ones node by node),
+        # or from the second level on the two-term difference to the level
+        # below, is within tol
+        for level, (n_rho, n_theta) in enumerate(_LADDER):
             fine = _two_term_terms(kind, t, x, F, s.rho_max, n_rho, n_theta).sum()
-            if abs(fine - coarse) <= SPEC.tol:
+            own = grid.quad_values(kind, [x], level)[0][2]
+            if own <= SPEC.tol or (level and abs(fine - coarse) <= SPEC.tol):
                 break
             coarse = fine
         assert (s.n_rho, s.n_theta) == (n_rho, n_theta)
@@ -165,13 +170,18 @@ RESCUED_CORNERS = [
     (BoundaryKind.DIRICHLET, 0.6352, (4.988, 5.12), (0.6982, -0.29)),
     (BoundaryKind.NEUMANN, 0.5554, (4.957, 5.169), (0.9086, -1.0052)),
 ]
+#: where each of ``RESCUED_CORNERS`` stops: the first three on 192x160,
+#: whose own estimate (5.1e-10 to 2.4e-8) is within tol, the last on the
+#: top level (its 192x160 estimate is 5.4e-7)
+RESCUED_STOPS = [(192, 160), (192, 160), (192, 160), (384, 320)]
 
 
 @pytest.mark.parametrize("kind, t, c, k", RESCUED_CORNERS)
 def test_corner_band_converges_on_the_top_level(kind, t, c, k):
     x, F = to_polar(CartesianPoint(*c)), PlaneWave(*k)
     s = psi_fresnel(kind, t, x, F, SPEC)
-    assert (s.n_rho, s.n_theta) == _LADDER[-1] == (384, 320)
+    assert (s.n_rho, s.n_theta) == RESCUED_STOPS[RESCUED_CORNERS.index((kind, t, c, k))]
+    assert _LADDER[-1] == (384, 320)
     # the independent assembly on twice the top level's nodes, same cutoff
     reference = _two_term_terms(kind, t, x, F, s.rho_max, 768, 640).sum()
     assert abs(s.value - reference) <= s.est_error + 2 * SPEC.tol
