@@ -134,6 +134,9 @@ def _parse_axis(text: str):
         raise argparse.ArgumentTypeError(f"could not parse axis {text!r}")
     if count < 2:
         raise argparse.ArgumentTypeError(f"axis count must be >= 2, got {count}")
+    # a finite width needs finite bounds, and no overflow in hi - lo
+    if not math.isfinite(hi - lo):
+        raise argparse.ArgumentTypeError(f"axis bounds and width must be finite, got {text!r}")
     if not hi > lo:
         raise argparse.ArgumentTypeError(f"axis needs max > min, got {text!r}")
     return (lo, hi, count)

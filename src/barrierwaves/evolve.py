@@ -39,23 +39,17 @@ Gauss-Legendre in rho itself stalls near the origin.
 
 Accuracy is controlled by a fixed coarse-to-fine ladder of tensor rules
 on one radial cutoff, 32x32, 48x48, 64x64, 96x80, 192x160 and 384x320
-nodes (``_LADDER``), evaluated from the coarsest up.  A field value's
-level is accepted when either of two error estimates is within ``tol``:
-its own, from its own Gauss nodes (``_panel_error``), or its difference
-to the level below; the first level has only its own.  The own estimate
-takes, per block of 16x16 nodes, the Legendre coefficients of the
-weighted terms summed along theta and along rho, fits a geometric decay
-to the last of them and carries it to degree 32, the first degree a
-16-node Gauss rule misses (Berntsen & Espelid, ACM TOMS 17, 1991).  The
-estimate that accepted the level is returned: the difference when it is
-within ``tol``, else the own estimate, which a level computes only for
-the points whose difference does not accept them; either is floored at
-the rounding error eps * sum |terms| of the level's own sum.  No node
-is evaluated beyond the first accepted level.  ``_walk_ladder``
-is that walk for values, operator series and coefficient tables alike;
-the series and the tables have no own estimate and are judged on the
-difference alone.  On the benchmark's field range 38 % of the points stop
-at 32x32 on their own estimate, 43 % at 48x48 and 18 % at 64x64.
+nodes (``_LADDER``), evaluated from the coarsest up and no further than
+the first accepted level.  ``_walk_ladder`` is that walk for values,
+operator series and coefficient tables alike, and its docstring states
+the one rule by which a level is accepted.  A field value's level can
+also be accepted on its estimate of its own error from its own Gauss
+nodes (``_panel_error``): per block of 16x16 nodes, the Legendre
+coefficients of the weighted terms summed along theta and along rho,
+with a geometric decay fitted to the last of them and carried to degree
+32, the first degree a 16-node Gauss rule misses (Berntsen & Espelid,
+ACM TOMS 17, 1991).  On the benchmark's field range 38 % of the points
+stop at 32x32 on their own estimate, 43 % at 48x48 and 18 % at 64x64.
 
 Only the kernel depends on the evaluation point x: the cutoff, the nodes,
 the tensor weights and the datum at the nodes depend on t, F and the spec
@@ -120,7 +114,8 @@ class QuadratureSpec:
 
     The node counts are not parameters: every quadrature walks the fixed
     ladder ``_LADDER`` (32x32, 48x48, 64x64, 96x80, 192x160 and 384x320
-    nodes) and stops where an error estimate meets ``tol``.
+    nodes) and stops on the first level that ``_walk_ladder``'s rule
+    accepts at ``tol``.
 
     Attributes
     ----------
@@ -185,10 +180,8 @@ class TaylorField:
 
     @property
     def degree(self) -> int:
-        nz = np.argwhere(np.abs(self.coeffs) > 0)
-        if nz.size == 0:
-            return 0
-        return int(max(n1 + n2 for n1, n2 in nz))
+        n1, n2 = np.nonzero(self.coeffs)
+        return int((n1 + n2).max(initial=0))
 
 
 @dataclass(frozen=True, eq=False)
@@ -231,11 +224,9 @@ class WaveSample:
     """One evaluated solution value with its error estimate.
 
     ``n_rho`` and ``n_theta`` are the node counts of the ladder level that
-    was returned.  ``est_error`` is the estimate that accepted that level:
-    its difference to the level below when that is within ``tol``, else
-    the level's estimate of its own error from its own nodes; and at
-    least the rounding floor eps * sum |terms|.
-    Both estimates are taken on the radial cutoff ``rho_max``, so
+    was returned.  ``est_error`` is the estimate that accepted that level,
+    picked as ``_walk_ladder`` states for field values and operator series.
+    Every estimate is taken on the radial cutoff ``rho_max``, so
     ``est_error`` does not see the tail beyond it; that tail, at most the
     spec's ``tol`` by the choice of the cutoff, comes on top of it.
     """
@@ -434,38 +425,47 @@ def _polar_rule(R: float, n_rho: int, n_theta: int, alpha: float = 0.0):
     return rho, z, 2.0 * u * wu * rho, th, wth
 
 
-def _gap(value: complex, below: complex, moduli: float) -> float:
-    """A level's difference to the level below, floored at the rounding
-    eps * sum |terms| of its own sum, since a difference below that says
-    nothing; infinite when the difference overflows."""
+def _gap(fine, coarse) -> float:
+    """A level's difference to the level below, from their results
+    (value, sum of |terms|, ...): floored at the rounding eps * sum |terms|
+    of its own sum, since a difference below that says nothing; infinite
+    when the difference overflows, and NaN on the first level, where
+    ``coarse`` is None."""
+    if coarse is None:
+        return math.nan
     try:
-        return max(abs(value - below), _EPS * moduli)
+        return max(abs(fine[0] - coarse[0]), _EPS * fine[1])
     except OverflowError:
         return math.inf
 
 
-def _walk_ladder(evaluate, gap, tol: float, count: int,
-                 start: tuple[int, int] = _LADDER[0], estimate=None) -> list:
-    """For each of ``count`` items, (value, estimate, (n_rho, n_theta)) of
+def _walk_ladder(evaluate, tol: float, count: int, start: tuple[int, int] = _LADDER[0]) -> list:
+    """For each of ``count`` items, (result, estimate, (n_rho, n_theta)) of
     the first ladder level from ``start`` up that is accepted.  ``start``
     is the (n_rho, n_theta) of the level the walk begins on, so a caller
     names it by its node counts, not by its place in the ladder.
 
-    A level is accepted when ``gap(fine, coarse)``, its difference to the
-    level below, or ``estimate(fine)``, the level's estimate of its own
-    error, is at most ``tol``; the first level has no level below, so it
-    is judged on its own estimate alone.  The returned estimate is the gap
-    when it accepts, else the level's own, and ``estimate`` is asked only
-    when the gap does not accept.  A NaN or infinite estimate accepts
-    nothing.  Without ``estimate`` (tables, operator series) every level
-    is judged on its gap alone, so the first level is never accepted.
+    The walk is level-major: ``evaluate(i, active, coarse, limit)`` gives
+    level i's (result, estimate) of the items whose indices are listed in
+    ``active``, those that have not been accepted below level i, so a
+    level is evaluated once for all the items that reach it and for no
+    other.  ``coarse`` holds, in the same order, each item's result on the
+    level below, None on the first level, and ``limit`` is the level's
+    limit: ``tol``, and 10 * tol on the top level, 384x320.
 
-    The walk is level-major: ``evaluate(i, active)`` gives level i's values
-    of the items whose indices are listed in ``active``, those that have
-    not been accepted below level i, so a level is evaluated once for all
-    the items that reach it and for no other.  The top level is accepted
-    up to 10 * tol; otherwise ``NonConvergence`` names its gap, for the
-    first such item.  Overflow is left to the estimates, which are then not
+    This is the one acceptance rule of every quadrature: a level is
+    accepted when its estimate is at most its limit, and a NaN estimate
+    accepts nothing.  The evaluator picks the estimate.  Field values
+    (``_FresnelGrid.quad_values``) take their gap to the level below
+    (``_gap``) when that is within the limit, else the level's estimate of
+    its own error from its own nodes (``_panel_error``, floored at the
+    rounding eps * sum |terms|) when that is, else the gap; the own
+    estimate is computed only where the gap misses the limit, and the
+    first level, which has no gap, is judged on it alone.  The operator
+    series and the coefficient tables return their gap, so their first
+    level is never accepted.  When an item's top level is not accepted
+    either, ``NonConvergence`` names that level's estimate, for the first
+    such item.  Overflow is left to the estimates, which are then not
     finite.
     """
     first = _LADDER.index(start)
@@ -477,27 +477,16 @@ def _walk_ladder(evaluate, gap, tol: float, count: int,
         for i in range(first, top + 1):
             if not active:
                 break
-            fine = evaluate(i, active)
             limit = 10.0 * tol if i == top else tol
-            climbing = []
-            for j, f, c in zip(active, fine, coarse):
-                step = gap(f, c) if i > first else math.nan
-                # a NaN estimate fails every test, so it accepts nothing
-                if step <= limit:
-                    results[j] = (f, step, _LADDER[i])
-                elif estimate is not None and (own := estimate(f)) <= limit:
-                    results[j] = (f, own, _LADDER[i])
-                elif i == top:
-                    results[j] = (f, step, _LADDER[i])
-                else:
-                    climbing.append((j, f))
-            active = [j for j, _ in climbing]
-            coarse = [f for _, f in climbing]
-    for _, est, nodes in results:
-        # a NaN estimate fails this test too, so no NaN leaves as converged
-        if not est <= 10.0 * tol:
-            raise NonConvergence(f"refinement estimate {est:.3e} exceeds 10*tol={10 * tol:.3e} "
-                                 "(n_rho={}, n_theta={})".format(*nodes))
+            for j, (fine, est) in zip(active, evaluate(i, active, coarse, limit)):
+                results[j] = (fine, est, _LADDER[i])
+            # a NaN estimate fails this test too, so no NaN leaves as converged
+            active = [j for j in active if not results[j][1] <= limit]
+            coarse = [results[j][0] for j in active]
+    if active:
+        _, est, nodes = results[active[0]]
+        raise NonConvergence(f"refinement estimate {est:.3e} exceeds 10*tol={10 * tol:.3e} "
+                             "(n_rho={}, n_theta={})".format(*nodes))
     return results
 
 
@@ -646,25 +635,20 @@ class _FresnelGrid:
             phi = np.array([p.phi for p in batch])[:, None, None]
             yield _kernel_grid(self.t, r, phi, z[:, None], th[None, :])
 
-    def _kernels(self, points: Sequence[PolarPoint], i: int):
-        """The kernel pair of each of ``points`` on ladder level ``i``, in
-        order, each of shape (2, n_rho, n_theta), from ``_kernel_batches``."""
-        for G in self._kernel_batches(points, i):
-            yield from G.swapaxes(0, 1)
-
     def quad_values(self, kind: BoundaryKind, points: Sequence[PolarPoint], i: int,
-                    below: Sequence[complex | None] | None = None) -> list[tuple[complex, float, float]]:
+                    coarse: Sequence[tuple | None] | None = None,
+                    limit: float = math.inf) -> list[tuple[complex, float, float]]:
         """One tensor quadrature pass on ladder level ``i`` at each of
         ``points``: [(value, sum of |terms|, estimate of the level's error)].
 
         The sum is of w * (D F(z1, z2) + sign * I F(-z1, z2)) over the
         level's nodes, (D, I) the kernel pair of ``greens._kernel_grid``.
-        Each batch of points is contracted with the datum in one pass, and
-        the error estimate (``_panel_error``), floored at eps * sum |terms|,
-        comes from the same terms.  ``below`` may give each point's value
-        on the level below, or None; a point whose difference to it is
-        within tol is accepted on that difference, so its estimate is not
-        computed and reads NaN.
+        Each batch of points is contracted with the datum in one pass.
+        ``coarse`` may give each point's result on the level below, or
+        None; the estimate is the one ``_walk_ladder`` describes for field
+        values against ``limit``, and the own estimate comes from the same
+        terms.  With the defaults, no results below and no limit, it is
+        the level's own estimate.
         """
         datum = self.level(i)
         n_rho, n_theta = _LADDER[i]
@@ -679,14 +663,16 @@ class _FresnelGrid:
             along_theta = (direct + kind.sign * image).reshape(count, n_rho, -1)
             values = (self._phase * along_theta.reshape(count, -1).sum(axis=-1)).tolist()
             moduli = np.abs(terms).sum(axis=(2, 3)).sum(axis=0)
-            own = [k for k in range(count) if below is None or below[offset + k] is None
-                   or not _gap(values[k], below[offset + k], moduli[k]) <= self.spec.tol]
-            errors = np.full(count, math.nan)
-            if own:
+            errors = np.array([_gap(fine, None if coarse is None else coarse[offset + k])
+                               for k, fine in enumerate(zip(values, moduli))])
+            # a NaN gap, as on the first level, misses the limit too
+            own = np.flatnonzero(~(errors <= limit))
+            if own.size:
                 # each half summed over every panel's rho nodes
                 along_rho = terms.reshape(2, count, -1, _PANEL_ORDER, n_theta).sum(axis=-2)
                 along_rho = along_rho[0] + kind.sign * along_rho[1]
-                errors[own] = np.maximum(_panel_error(along_theta[own], along_rho[own]), _EPS * moduli[own])
+                est = np.maximum(_panel_error(along_theta[own], along_rho[own]), _EPS * moduli[own])
+                errors[own] = np.where(est <= limit, est, errors[own])
             out.extend(zip(values, moduli.tolist(), errors.tolist()))
         return out
 
@@ -700,7 +686,8 @@ class _FresnelGrid:
         of the angular contraction.
         """
         out = []
-        for G, N in zip(self._kernels(points, i), orders):
+        kernels = (G for batch in self._kernel_batches(points, i) for G in batch.swapaxes(0, 1))
+        for G, N in zip(kernels, orders):
             radial, angular = self.series_level(i, N)
             # a real matrix times the complex grid, as (re, im) pairs of columns
             terms = (radial @ G.view(float)).view(complex)
@@ -715,37 +702,29 @@ class _FresnelGrid:
         ``r_max``, up to its first accepted level; a level is built only
         when some point reaches it."""
         points = list(points)
-        # each point's value on the last level it was evaluated on
-        below = [None] * len(points)
-
-        def evaluate(i, active):
-            fine = self.quad_values(kind, [points[j] for j in active], i, [below[j] for j in active])
-            for j, f in zip(active, fine):
-                below[j] = f[0]
-            return fine
-
-        walked = self._walk(kind, points, evaluate, estimate=lambda fine: fine[2])
+        walked = self._walk(kind, points, lambda i, active, coarse, limit: [
+            (fine, fine[2]) for fine in self.quad_values(
+                kind, [points[j] for j in active], i, coarse, limit)])
         return [sample for sample, _ in walked]
 
     def series_samples(self, kind: BoundaryKind, points: Sequence[PolarPoint],
                        orders: Sequence[int]) -> list[tuple[WaveSample, np.ndarray]]:
         """The operator series to order ``orders[j]`` at ``points[j]``,
-        judged on the ladder by the rule of ``samples``: per point its
-        sample, and its order sums S_0..S_N on the returned level.  The
-        datum must be a ``PlaneWave`` or a ``TaylorField``, and a Taylor
-        datum's degree at most each order."""
+        judged on the ladder by its gap: per point its sample, and its
+        order sums S_0..S_N on the returned level.  The datum must be a
+        ``PlaneWave`` or a ``TaylorField``, and a Taylor datum's degree at
+        most each order."""
         points, orders = list(points), list(orders)
-        walked = self._walk(kind, points, lambda i, active: self.series_values(
-            kind, [points[j] for j in active], [orders[j] for j in active], i))
+        walked = self._walk(kind, points, lambda i, active, coarse, limit: [
+            (fine, _gap(fine, below)) for fine, below in zip(self.series_values(
+                kind, [points[j] for j in active], [orders[j] for j in active], i), coarse)])
         return [(sample, fine[2]) for sample, fine in walked]
 
-    def _walk(self, kind: BoundaryKind, points: list[PolarPoint], evaluate, estimate=None):
+    def _walk(self, kind: BoundaryKind, points: list[PolarPoint], evaluate):
         """Per point, the sample of its first accepted level and that
-        level's (value, sum of |terms|, ...) from ``evaluate``;
-        ``estimate``, if given, takes such a tuple to the level's estimate
-        of its own error (``_walk_ladder``)."""
-        walked = _walk_ladder(evaluate, lambda fine, coarse: _gap(fine[0], coarse[0], fine[1]),
-                              self.spec.tol, len(points), estimate=estimate)
+        level's (value, sum of |terms|, ...) from ``evaluate``
+        (``_walk_ladder``)."""
+        walked = _walk_ladder(evaluate, self.spec.tol, len(points))
         return [(WaveSample(value=fine[0], est_error=est, t=self.t, x=x, kind=kind,
                             rho_max=self.rho_max, n_rho=n_rho, n_theta=n_theta), fine)
                 for x, (fine, est, (n_rho, n_theta)) in zip(points, walked)]
@@ -765,25 +744,18 @@ def psi_fresnel(kind: BoundaryKind, t: float, x: PolarPoint | Sequence[PolarPoin
 
     At each point the tensor rules of the fixed node ladder (32x32, 48x48,
     64x64, 96x80, 192x160 and 384x320 nodes) are evaluated from the
-    coarsest up, all on one radial cutoff, and the first level whose own
-    error estimate (from the Legendre coefficients of its terms on each
-    16x16 block of nodes) or whose difference to the level below is at
-    most ``spec.tol`` is returned; the first level is judged on its own
-    estimate alone, and a level computes its own estimate only where the
-    difference does not accept.  The estimate that accepted the level,
-    or eps times the sum of the moduli of the level's terms (the rounding
-    of the sum) when that is larger, is reported as ``est_error``.  Each point stops at its own level, and a
-    level no point reaches is never built.
-    The finest level is accepted up to 10 * spec.tol.  ``est_error`` is
-    taken on one cutoff; the tail beyond it, at most ``spec.tol``, comes
-    on top of it.
+    coarsest up, all on one radial cutoff, and the first level accepted by
+    ``_walk_ladder``'s rule at ``spec.tol`` is returned, with the estimate
+    that accepted it as ``est_error``.  Each point stops at its own level,
+    and a level no point reaches is never built.  ``est_error`` is taken
+    on one cutoff; the tail beyond it, at most ``spec.tol``, comes on top
+    of it.
 
     Raises
     ------
     NonConvergence
-        If at some point neither estimate of the finest level is within
-        10 * spec.tol (the message names its difference to the level
-        below), or that difference is not a number.
+        If some point's finest level is not accepted (the message names
+        its difference to the level below).
     TailBoundUnsatisfiable
         Propagated from the radial cutoff search.
     ValueError

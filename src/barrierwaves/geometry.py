@@ -34,16 +34,16 @@ class CartesianPoint:
 class PolarPoint:
     """Radius and angle with the cut along the barrier.
 
-    r > 0 and phi in [-pi/2, 3*pi/2]; the closed endpoints denote the two
-    faces of the barrier itself.
+    0 < r < inf and phi in [-pi/2, 3*pi/2]; the closed endpoints denote the
+    two faces of the barrier itself.
     """
 
     r: float
     phi: float
 
     def __post_init__(self):
-        if not self.r > 0:
-            raise ValueError(f"PolarPoint needs r > 0, got r={self.r}")
+        if not 0 < self.r < math.inf:
+            raise ValueError(f"PolarPoint needs 0 < r < inf, got r={self.r}")
         if not PHI_MIN <= self.phi <= PHI_MAX:
             raise ValueError(
                 f"PolarPoint angle must lie in [{PHI_MIN}, {PHI_MAX}], got {self.phi}"

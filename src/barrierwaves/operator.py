@@ -242,8 +242,8 @@ class CoeffTable:
     entries are zero).  ``n_rho`` and ``n_theta`` are the node counts of
     the ladder level the table was taken on, and ``est_error`` is its
     largest entrywise difference to the level below.  ``build_table``
-    returns only usable tables: finite entries and bounds, and
-    ``est_error`` at most spec.tol (10 * spec.tol on the top level).
+    returns only usable tables: finite entries and bounds, on a level
+    that ``evolve._walk_ladder``'s rule accepts at spec.tol.
     Whether N certifies a given datum is the caller's choice of N, through
     ``truncation_order``.
     """
@@ -277,10 +277,9 @@ def build_table(kind: BoundaryKind, t: float, x: PolarPoint, N: int,
     grid's rule and one kernel evaluation of the grid's, and every
     coefficient is an angular/radial moment of that level, so no entry
     sees a different kernel evaluation.  The table walks
-    ``psi_fresnel``'s node ladder by the same rule, from 96x80 up: it is
-    taken on the first level whose largest entrywise difference to the
-    level below is at most spec.tol, and that difference is its
-    ``est_error``; the top level, 384x320, is accepted up to 10 * spec.tol.
+    ``psi_fresnel``'s node ladder from 96x80 up, judged by
+    ``evolve._walk_ladder``'s rule at spec.tol on its largest entrywise
+    difference to the level below, which is its ``est_error``.
 
     A returned table is usable as it stands: its entries and bounds are
     finite and its ``est_error`` meets that rule.
@@ -293,8 +292,8 @@ def build_table(kind: BoundaryKind, t: float, x: PolarPoint, N: int,
     NonConvergence
         If a coefficient bound exceeds double range (for small t this is
         where exp(9 r^2 / (2 t sin 2alpha)) leaves it; checked before any
-        kernel evaluation), an entry is not finite, or the refinement
-        estimate is not at most 10 * spec.tol at the 384x320 level.
+        kernel evaluation), an entry is not finite, or the top level,
+        384x320, is not accepted.
     """
     if not 0 <= N <= N_CAP:
         raise ValueError(f"table order must lie in [0, {N_CAP}], got {N}")
@@ -308,7 +307,8 @@ def build_table(kind: BoundaryKind, t: float, x: PolarPoint, N: int,
 
     def raw_moments(i):
         rho, _, w_rho, th, wth = grid.rule(i)
-        [G] = grid._kernels([x], i)
+        # the one batch of the one point x
+        G = next(grid._kernel_batches([x], i))[:, 0]
         # radial weights w * rho^(m+1) (w_rho carries the first power), free
         # of the series' 1/m!: the factorials scale the finished moments
         radial = np.empty((N + 1, rho.size))
@@ -338,18 +338,20 @@ def build_table(kind: BoundaryKind, t: float, x: PolarPoint, N: int,
     def entries(raw):
         return np.where(valid, scale * raw, 0.0)
 
-    def gap(fine, coarse):
-        est = float(np.abs(entries(fine - coarse)).max())
-        if not np.isfinite(entries(fine)).all():
+    def evaluate(i, _, coarse, limit):
+        # the walk's one item: its gap, NaN on the first level
+        raw = raw_moments(i)
+        if coarse[0] is None:
+            return [(raw, math.nan)]
+        est = float(np.abs(entries(raw - coarse[0])).max())
+        if not np.isfinite(entries(raw)).all():
             raise NonConvergence(
                 f"coefficient table at t={t}, r={x.r}, N={N} is not finite "
                 f"(refinement estimate {est:.3e})")
-        return est
+        return [(raw, est)]
 
-    # every level costs a full moment pass, so tables start on 96x80; the
-    # table is the walk's one item
-    [(raw, est_error, (n_rho, n_theta))] = _walk_ladder(
-        lambda i, _: [raw_moments(i)], gap, spec.tol, 1, start=(96, 80))
+    # every level costs a full moment pass, so tables start on 96x80
+    [(raw, est_error, (n_rho, n_theta))] = _walk_ladder(evaluate, spec.tol, 1, start=(96, 80))
     c = entries(raw)
     c.setflags(write=False)
     bound.setflags(write=False)

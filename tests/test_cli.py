@@ -141,6 +141,10 @@ def _must_not_run(*args, **kwargs):
     ("--p1", _SUPERSHIFT_AT + ["--p1", "0"]),
     ("--t", ["coeffs", "--t", "-1", "--x", "1,0.3", "--order", "3"]),
     ("--t", ["greens", "--t", "inf", "--x", "1,0.3", "--y", "1,1"]),
+    # non-finite geometry: an infinite bound, a width that overflows, an infinite radius
+    ("--grid", ["field", "--t", "1", "--plane-wave", "0.3,0.1", "--grid=-inf:1:3,0:1:3"]),
+    ("--grid", ["field", "--t", "1", "--plane-wave", "0.3,0.1", "--grid=0:1e308:3,-1e308:1e308:3"]),
+    ("--x", ["field", "--t", "1", "--plane-wave", "0.3,0.1", "--x=inf,0.3"]),
 ])
 def test_invalid_value_is_usage_error_before_any_work(tmp_path, capsys, monkeypatch, flag, argv):
     for name in ("psi_fresnel", "build_table", "supershift_experiment", "greens"):

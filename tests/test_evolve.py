@@ -59,6 +59,20 @@ def test_plane_wave_datum():
     assert eval_datum(PlaneWave(1.0, 0.0), math.pi, 5.0) == pytest.approx(-1.0, abs=1e-14)
 
 
+def test_taylor_degree_is_the_largest_nonzero_total_degree():
+    # against the largest n1 + n2 over the nonzero entries, one by one, on
+    # random sparse square and rectangular arrays and on all-zero ones
+    rng = np.random.default_rng(17)
+    for shape in [(1, 1), (4, 4), (3, 6), (7, 2), (5, 5)] * 4:
+        coeffs = np.where(rng.random(shape) < 0.3, rng.normal(size=shape) + 1j * rng.normal(size=shape), 0.0)
+        want = max((n1 + n2 for n1 in range(shape[0]) for n2 in range(shape[1]) if coeffs[n1, n2] != 0),
+                   default=0)
+        assert TaylorField(coeffs).degree == want
+        assert TaylorField(np.zeros(shape)).degree == 0
+    # an imaginary entry alone counts
+    assert TaylorField([[0.0, 0.0], [0.0, 1e-300j]]).degree == 2
+
+
 def test_taylor_datum_at_complex_argument():
     F = TaylorField([[0.0], [1.0]])  # z1
     assert eval_datum(F, 2 + 1j, 9.0) == pytest.approx(2 + 1j, abs=1e-14)
@@ -535,29 +549,54 @@ def test_level_estimate_has_the_same_bits_in_any_batch(kind):
     # point's (value, sum of |terms|, estimate) alone equals its entry in
     # the grid twice over (which the node cap splits on every level), in a
     # shuffled grid and in a batch of seven, so no stop at tol can flip;
-    # and so it does when the points whose difference to the level below
-    # is within tol go without an estimate
+    # and so it does when each point is given its result on the level
+    # below, and those within tol of it go without an own estimate
     points = _grid_points()
     grid = _FresnelGrid(0.6, _BATCH_DATA[2], SPEC, max(p.r for p in points))
     order = np.random.default_rng(5).permutation(len(points))
     batches = [list(range(len(points))) * 2, list(order), list(order[:7])]
-    below, skipped = None, 0
+    coarse, gapped = None, 0
     for i in range(LEVEL_192 + 1):
-        for values in (None, below):
-            alone = [grid.quad_values(kind, [p], i, values and [values[j]])[0]
+        for below in (None, coarse):
+            alone = [grid.quad_values(kind, [p], i, below and [below[j]], SPEC.tol)[0]
                      for j, p in enumerate(points)]
             for batch in batches:
                 got = grid.quad_values(kind, [points[j] for j in batch], i,
-                                       values and [values[j] for j in batch])
-                # a skipped estimate reads NaN, and NaN equals NaN here
+                                       below and [below[j] for j in batch], SPEC.tol)
+                # an estimate may read NaN, and NaN equals NaN here
                 assert np.array_equal(np.array(got), np.array([alone[j] for j in batch]), equal_nan=True)
-            skipped += sum(math.isnan(own) for _, _, own in alone)
-        below = [value for value, _, _ in alone]
-    assert skipped > 0
+            if below:
+                gapped += sum(fine[2] == evolve_module._gap(fine, c) <= SPEC.tol
+                              for fine, c in zip(alone, below))
+        coarse = alone
+    assert gapped > 0
     single = [grid.samples(kind, [p])[0] for p in points]
     assert grid.samples(kind, [points[j] for j in order]) == [single[j] for j in order]
     # some points stop on 32x32, on the estimate alone
     assert (32, 32) in {(s.n_rho, s.n_theta) for s in single}
+
+
+def test_top_level_asks_for_no_unneeded_own_estimate(monkeypatch):
+    # the top level accepts a gap of up to 10 * tol, so a point whose
+    # result on the level below is 5 * tol away needs no own estimate there
+    kind, t, x, F = REACHES_192
+    grid = _FresnelGrid(t, F, SPEC, x.r)
+    top = len(_LADDER) - 1
+    [(value, modulus, _)] = grid.quad_values(kind, [x], top)
+    original, rows = evolve_module._panel_error, []
+
+    def recorded(along_theta, along_rho):
+        rows.append(len(along_theta))
+        return original(along_theta, along_rho)
+
+    monkeypatch.setattr(evolve_module, "_panel_error", recorded)
+    coarse = (value + 5 * SPEC.tol, modulus, math.nan)
+    [(again, _, est)] = grid.quad_values(kind, [x], top, [coarse], 10 * SPEC.tol)
+    assert (again, rows) == (value, [])
+    assert est == pytest.approx(5 * SPEC.tol, rel=1e-6)
+    # a limit of tol asks for the own estimate of that one point
+    grid.quad_values(kind, [x], top, [coarse], SPEC.tol)
+    assert rows == [1]
 
 
 @pytest.mark.parametrize("kind", list(BoundaryKind))
@@ -690,17 +729,20 @@ def test_nonconvergence_on_starved_mesh():
     ((1e-8,), 3, 4),
 ])
 def test_walk_ladder_rule(gaps, start, level):
-    # levels hold partial sums, so each gap is the difference to the level below
+    # levels hold partial sums, so each gap is the difference to the level
+    # below; the walk hands each level the result below and its limit
     values = np.concatenate([[0.0], np.cumsum(gaps)])
     calls = []
 
-    def evaluate(i, active):
+    def evaluate(i, active, coarse, limit):
         calls.append(i)
         assert active == [0]
-        return [values[i - start]]
+        assert coarse == [values[i - start - 1] if i > start else None]
+        assert limit == (1e-6 if i == len(_LADDER) - 1 else 1e-7)
+        fine = values[i - start]
+        return [(fine, math.nan if coarse[0] is None else abs(fine - coarse[0]))]
 
-    [(value, est, nodes)] = _walk_ladder(evaluate, lambda fine, coarse: abs(fine - coarse),
-                                         1e-7, 1, _LADDER[start])
+    [(value, est, nodes)] = _walk_ladder(evaluate, 1e-7, 1, _LADDER[start])
     assert (value, nodes) == (values[level - start], _LADDER[level])
     assert est == abs(values[level - start] - values[level - start - 1])
     assert calls == list(range(start, level + 1))
@@ -709,9 +751,32 @@ def test_walk_ladder_rule(gaps, start, level):
 @pytest.mark.parametrize("top_gap", [1.1e-6, math.nan])
 def test_walk_ladder_raises_on_the_top_level(top_gap):
     values = [0.0, 1.0, 2.0, 3.0, 4.0, 4.0 + top_gap]
+
+    def evaluate(i, active, coarse, limit):
+        return [(values[i], math.nan if coarse[0] is None else abs(values[i] - coarse[0]))]
+
     with pytest.raises(NonConvergence, match=r"refinement estimate .* exceeds 10\*tol=1\.000e-06 "
                        r"\(n_rho=384, n_theta=320\)$"):
-        _walk_ladder(lambda i, active: [values[i]], lambda fine, coarse: abs(fine - coarse), 1e-7, 1)
+        _walk_ladder(evaluate, 1e-7, 1)
+
+
+def _scripted_field_walk(monkeypatch, gaps, own):
+    """One field value's walk whose gap to the level below is ``gaps[i - 1]``
+    and whose own estimate is ``own[i]`` on level i: (sample, levels
+    evaluated, levels whose own estimate was computed)."""
+    calls, asked = [], []
+
+    def gap(fine, coarse):
+        calls.append(len(calls))
+        return math.nan if coarse is None else gaps[calls[-1] - 1]
+
+    def panel_error(along_theta, along_rho):
+        asked.append(calls[-1])
+        return np.full(len(along_theta), own[calls[-1]])
+
+    monkeypatch.setattr(evolve_module, "_gap", gap)
+    monkeypatch.setattr(evolve_module, "_panel_error", panel_error)
+    return psi_fresnel(BoundaryKind.DIRICHLET, 0.8, X, PlaneWave(0.2, 0.1), SPEC), calls, asked
 
 
 #: differences of successive levels that the gap alone accepts first on 48x48
@@ -728,50 +793,28 @@ _GAPS = (1e-8, 0.0, 0.0, 0.0, 0.0)
     ((math.nan,) * 6, _GAPS, 1, 1e-8),
     ((math.inf,) * 6, _GAPS, 1, 1e-8),
     ((math.nan, math.inf, 1e-12, 0.0, 0.0, 0.0), _GAPS, 1, 1e-8),
-    # when the gap accepts, it reports, and the own estimate is not asked
+    # when the gap accepts, it reports, and the own estimate is not computed
     ((1.0, 1e-12) + (0.0,) * 4, _GAPS, 1, 1e-8),
     ((1.0, 5e-8) + (0.0,) * 4, _GAPS, 1, 1e-8),
 ])
-def test_walk_ladder_accepts_a_level_on_its_own_estimate(own, gaps, level, est):
-    values = np.concatenate([[0.0], np.cumsum(gaps)])
-    calls = []
-
-    def evaluate(i, active):
-        calls.append(i)
-        return [(values[i], own[i])]
-
-    asked = []
-
-    def estimate(fine):
-        asked.append(fine[0])
-        return fine[1]
-
-    [(fine, got, nodes)] = _walk_ladder(evaluate, lambda fine, coarse: abs(fine[0] - coarse[0]),
-                                        1e-7, 1, estimate=estimate)
-    assert (fine[0], got, nodes) == (values[level], est, _LADDER[level])
+def test_walk_ladder_accepts_a_level_on_its_own_estimate(monkeypatch, own, gaps, level, est):
+    # field values pick the estimate each level of the walk is judged on
+    s, calls, asked = _scripted_field_walk(monkeypatch, gaps, own)
+    assert (s.est_error, (s.n_rho, s.n_theta)) == (est, _LADDER[level])
     assert calls == list(range(level + 1))
-    # the own estimate is asked only on the levels whose gap does not accept
-    assert asked == [values[k] for k in range(level + 1) if k == 0 or not gaps[k - 1] <= 1e-7]
+    # the own estimate is computed only on the levels whose gap does not accept
+    assert asked == [k for k in range(level + 1) if k == 0 or not gaps[k - 1] <= 1e-7]
 
 
-def test_walk_ladder_own_estimate_meets_the_top_level_rule():
+def test_walk_ladder_own_estimate_meets_the_top_level_rule(monkeypatch):
     # on the top level an own estimate is accepted up to 10 * tol, as the
-    # gap is; above it the error names the gap, as it did without estimates
-    gaps = (1.0,) * 5
-    values = np.concatenate([[0.0], np.cumsum(gaps)])
-
-    def walk(top_own):
-        own = (1.0,) * 5 + (top_own,)
-        return _walk_ladder(lambda i, active: [(values[i], own[i])],
-                            lambda fine, coarse: abs(fine[0] - coarse[0]), 1e-7, 1,
-                            estimate=lambda fine: fine[1])
-
-    [(_, est, nodes)] = walk(9e-7)
-    assert (est, nodes) == (9e-7, (384, 320))
+    # gap is; above it the error names the gap, as it does without one
+    [s, _, asked] = _scripted_field_walk(monkeypatch, (1.0,) * 5, (1.0,) * 5 + (9e-7,))
+    assert (s.est_error, (s.n_rho, s.n_theta), asked) == (9e-7, (384, 320), list(range(6)))
     for top_own in (1.1e-6, math.nan, math.inf):
         with pytest.raises(NonConvergence, match=r"^refinement estimate 1\.000e\+00 exceeds "
                            r"10\*tol=1\.000e-06 \(n_rho=384, n_theta=320\)$"):
-            walk(top_own)
+            _scripted_field_walk(monkeypatch, (1.0,) * 5, (1.0,) * 5 + (top_own,))
 
 
 def _field_range_grids(seed, count):

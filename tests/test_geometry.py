@@ -92,6 +92,9 @@ def test_polar_point_validation():
         PolarPoint(0.0, 0.5)
     with pytest.raises(ValueError):
         PolarPoint(-1.0, 0.5)
+    for r in (math.inf, math.nan):
+        with pytest.raises(ValueError, match="0 < r < inf"):
+            PolarPoint(r, 0.5)
     with pytest.raises(ValueError):
         PolarPoint(1.0, PHI_MIN - 1e-9)
     with pytest.raises(ValueError):
