@@ -25,8 +25,10 @@ one 192x160 level's nodes).  Every point of the grid shares one radial
 cutoff (that of its largest radius) and one node set per ladder level,
 each level built once, under a lock, by whichever thread first needs it;
 ``--method operator`` sums the operator series order by order on those
-nodes.  A point's arithmetic does not depend on its chunk or batch, so
-repeated runs are byte-identical for any ``--threads`` value.
+nodes, to one order N for the whole grid: the order taken at its largest
+radius, which certifies every point, since the certified order never
+falls as r grows.  A point's arithmetic does not depend on its chunk or
+batch, so repeated runs are byte-identical for any ``--threads`` value.
 """
 
 from __future__ import annotations
@@ -70,10 +72,6 @@ from .superosc import supershift_experiment
 from .validate import run_suites
 
 _FMT = "%.17g"
-
-
-def _fmt_real(v) -> str:
-    return _FMT % float(v)
 
 
 def _parse_kind(text: str) -> BoundaryKind:
@@ -147,7 +145,11 @@ def _parse_grid(text: str):
     if len(parts) != 2:
         raise argparse.ArgumentTypeError(
             f"grid must be x1min:x1max:n1,x2min:x2max:n2, got {text!r}")
-    return (_parse_axis(parts[0]), _parse_axis(parts[1]))
+    grid = (_parse_axis(parts[0]), _parse_axis(parts[1]))
+    # every point's radius is finite when the farthest corner's is
+    if math.isinf(math.hypot(*(max(abs(lo), abs(hi)) for lo, hi, _ in grid))):
+        raise argparse.ArgumentTypeError(f"grid corner radius must be finite, got {text!r}")
+    return grid
 
 
 def _parse_taylor(text: str) -> TaylorField:
@@ -402,7 +404,7 @@ def write_csv(header, rows, path) -> None:
             elif isinstance(item, (int, np.integer)):
                 cells.append(str(int(item)))
             else:
-                cells.append(_fmt_real(item))
+                cells.append(_FMT % float(item))
         parts.append(",".join(cells) + "\n")
     _write_atomic(path, "".join(parts).encode("ascii"))
 
@@ -458,25 +460,23 @@ def _series_order(t, r, F, spec) -> tuple[int, bool]:
     return min(max(N, degree), N_CAP), True
 
 
-def _series_values(grid, kind, points) -> list[complex]:
-    """Evolved values at ``points`` of ``grid`` through the operator series.
+def _series_values(grid, kind, order, points) -> list[complex]:
+    """Evolved values at ``points`` of ``grid`` through the operator series
+    of ``order`` = (N, certified), the grid's one ``_series_order``.
 
     An uncertified series at the cap is accepted only where it has
     settled: its order-59 and order-60 sums on the accepted ladder level
     must both be at most the spec's ``tol``; a non-finite sum fails too.
     """
-    F, tol = grid.F, grid.spec.tol
-    orders = [_series_order(grid.t, pol.r, F, grid.spec) for pol in points]
-    walked = grid.series_samples(kind, points, [N for N, _ in orders])
-    values = []
-    for (N, certified), (sample, sums) in zip(orders, walked):
+    (N, certified), F, tol = order, grid.F, grid.spec.tol
+    walked = grid.series_samples(kind, points, N)
+    for _, sums in walked:
         last = np.abs(sums[-2:])
         if not (certified or (last <= tol).all()):
             raise NonConvergence(
                 f"the series at k=({F.k1:g}, {F.k2:g}) has not settled at the table cap "
                 f"N={N}: order sums {last[0]:.3e}, {last[1]:.3e} against tol={tol:.3e}")
-        values.append(sample.value)
-    return values
+    return [sample.value for sample, _ in walked]
 
 
 def _contiguous_chunks(items: list, count: int) -> list:
@@ -504,12 +504,10 @@ def run_field(cfg) -> int:
         from .geometry import to_cartesian
         c = to_cartesian(cfg.x)
         x1s, x2s = np.array([c.x1]), np.array([c.x2])
-    # polar points in grid order, None on the barrier
-    polar_rows = []
-    for x2 in x2s:
-        cart = [CartesianPoint(float(x1), float(x2)) for x1 in x1s]
-        polar_rows.append([None if on_barrier(p) else to_polar(p) for p in cart])
-    points = [pol for row in polar_rows for pol in row if pol is not None]
+    # the grid's cells in row order, each with its polar point, None on the barrier
+    cells = [CartesianPoint(float(x1), float(x2)) for x2 in x2s for x1 in x1s]
+    polar = [None if on_barrier(c) else to_polar(c) for c in cells]
+    points = [pol for pol in polar if pol is not None]
 
     values = []
     if points:
@@ -518,10 +516,12 @@ def run_field(cfg) -> int:
         r_max = max(pol.r for pol in points)
         grid = _FresnelGrid(t, F, spec, r_max)
         if cfg.method == "operator":
-            # the bounds grow with r and with the order, which grows with r:
-            # the largest radius refuses for every point, before any kernel call
-            _bound_table(t, r_max, spec.alpha, _series_order(t, r_max, F, spec)[0])
-            evaluate = functools.partial(_series_values, grid, kind)
+            # the bounds and the certified order grow with r, so the largest
+            # radius refuses for every point, before any kernel call, and its
+            # order certifies every point
+            order = _series_order(t, r_max, F, spec)
+            _bound_table(t, r_max, spec.alpha, order[0])
+            evaluate = functools.partial(_series_values, grid, kind, order)
         else:
             def evaluate(chunk):
                 return [sample.value for sample in grid.samples(kind, chunk)]
@@ -532,24 +532,17 @@ def run_field(cfg) -> int:
             with ThreadPoolExecutor(max_workers=len(chunks)) as pool:
                 values = [v for part in pool.map(evaluate, chunks) for v in part]
     it = iter(values)
-    grid_rows = [[None if pol is None else next(it) for pol in row] for row in polar_rows]
+    values = [None if pol is None else next(it) for pol in polar]
 
     if cfg.out is not None:
-        rows = []
-        for x2, grid_row in zip(x2s, grid_rows):
-            for x1, v in zip(x1s, grid_row):
-                if v is None:
-                    rows.append((float(x1), float(x2), None, None, None))
-                else:
-                    rows.append((float(x1), float(x2), v.real, v.imag, abs(v)))
+        rows = [(c.x1, c.x2, None, None, None) if v is None else (c.x1, c.x2, v.real, v.imag, abs(v))
+                for c, v in zip(cells, values)]
         write_csv(("x1", "x2", "re", "im", "abs"), rows, cfg.out)
     if cfg.pgm is not None:
-        image = np.full((len(x2s), len(x1s)), np.nan + 0j)
-        for i, grid_row in enumerate(grid_rows):
-            for j, v in enumerate(grid_row):
-                if v is not None:
-                    image[len(x2s) - 1 - i, j] = v
-        write_pgm(image, cfg.pgm, component=cfg.component, gamma=cfg.gamma)
+        # image order: the last row of the grid at the top
+        image = np.array([np.nan if v is None else v for v in values], dtype=complex)
+        write_pgm(image.reshape(len(x2s), len(x1s))[::-1], cfg.pgm,
+                  component=cfg.component, gamma=cfg.gamma)
     return 0
 
 
@@ -587,7 +580,7 @@ def run_greens(cfg) -> int:
     if cfg.x is None or cfg.y is None:
         cfg.usage_error("greens needs --x and --y")
     g = greens(cfg.kind, cfg.t, cfg.x, cfg.y)
-    print(f"{_fmt_real(g.real)} {_fmt_real(g.imag)}")
+    print(f"{_FMT % g.real} {_FMT % g.imag}")
     if cfg.out is not None:
         write_csv(("re", "im", "abs"), [(g.real, g.imag, abs(g))], cfg.out)
     return 0

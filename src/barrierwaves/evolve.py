@@ -67,8 +67,9 @@ its own level.  A node's kernel value does not depend on the batch it is
 evaluated in, and every sum and matmul after it has the same shape for
 each point, so a point's value and estimates are the same alone or in
 any batch.  The operator series of ``field --method operator`` walks the
-same levels, with the datum's derivatives of each order in place of the
-datum.  ``operator.build_table`` walks them from 96x80 up on a grid whose
+same levels at one order N for the whole grid, with the datum's
+derivatives of each order up to N in place of the datum.
+``operator.build_table`` walks them from 96x80 up on a grid whose
 datum is the monomial z1^(N+1), so that the cutoff bounds its moments of
 order N; it takes each level's rule and kernel from the grid and adds only
 the moment weights.
@@ -83,6 +84,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss, legvander
+from numpy.polynomial.polynomial import polyval
 
 from .geometry import PHI_MAX, PHI_MIN, PolarPoint
 from .greens import (_ENVELOPE_PREF, _ENVELOPE_RATE, BoundaryKind, _check_radius, _check_time,
@@ -251,17 +253,9 @@ def eval_datum(F: InitialDatum, z1, z2):
     if isinstance(F, PlaneWave):
         return np.exp(1j * (F.k1 * np.asarray(z1, dtype=complex) + F.k2 * np.asarray(z2, dtype=complex)))
     if isinstance(F, TaylorField):
-        z1 = np.asarray(z1, dtype=complex)
-        z2 = np.asarray(z2, dtype=complex)
-        c = F.coeffs
-        # Horner in z1 over rows, each row Horner in z2
-        out = np.zeros(np.broadcast(z1, z2).shape, dtype=complex)
-        for row in c[::-1]:
-            inner = np.zeros_like(out)
-            for v in row[::-1]:
-                inner = inner * z2 + v
-            out = out * z1 + inner
-        return out
+        # Horner in z2 along each row, then Horner in z1 over the rows
+        inner = polyval(np.asarray(z2, dtype=complex), F.coeffs.T)
+        return polyval(np.asarray(z1, dtype=complex), inner, tensor=False)
     if isinstance(F, DiscreteSuperposition):
         # one exponent per (point, atom) on a trailing atom axis, then a matmul
         ik = 1j * F.wavevectors
@@ -532,8 +526,9 @@ class _FresnelGrid:
     read the same arrays.  A sequence of points walks the ladder together
     (``samples``, ``series_samples``): per level, one kernel call for each
     batch of at most ``_BATCH_NODES`` nodes of the points still walking,
-    then, for field values, one contraction of the whole batch with the
-    datum (``quad_values``) and, for the series, one product-sum per point.
+    then one contraction of the whole batch: with the datum for field
+    values (``quad_values``), with the radial powers and angular factors of
+    one order N for the series (``series_values``).
 
     The same cutoff and nodes serve the operator series sum_{m<=N} S_m,
     S_m = sum_{n1+n2=m} c_{n1,n2} d^{n1+n2}F(0) (``series_samples``).  With
@@ -569,7 +564,7 @@ class _FresnelGrid:
             raise TailBoundUnsatisfiable(
                 f"tail tolerance tol/A underflows to 0 for tol={spec.tol} and the "
                 f"datum's envelope factor A={A:.3e}")
-        self.t, self.F, self.spec, self.r_max = t, F, spec, r_max
+        self.t, self.F, self.spec = t, F, spec
         self.rho_max = rho_max(replace(spec, tol=tail_tol), t, r_max, B_eff)
         self._phase = complex(math.cos(2.0 * spec.alpha), math.sin(2.0 * spec.alpha))
         self._levels = {}
@@ -676,25 +671,27 @@ class _FresnelGrid:
             out.extend(zip(values, moduli.tolist(), errors.tolist()))
         return out
 
-    def series_values(self, kind: BoundaryKind, points: Sequence[PolarPoint],
-                      orders: Sequence[int], i: int) -> list:
-        """The operator series to order ``orders[j]`` at ``points[j]`` on
+    def series_values(self, kind: BoundaryKind, points: Sequence[PolarPoint], N: int,
+                      i: int) -> list:
+        """The operator series to order ``N`` at each of ``points`` on
         ladder level ``i``: [(value, sum of |terms|, order sums S_0..S_N)].
 
-        Per point, one radial matmul for both halves of its kernel pair and
-        one angular contraction give every S_m; the terms are the products
-        of the angular contraction.
+        Per batch of points, one stacked radial matmul for both halves of
+        every kernel pair and one angular product give every S_m; the terms
+        are the products of the angular contraction.  Each point's sums run
+        over its own slice, so its bits do not depend on the batch.
         """
+        radial, angular = self.series_level(i, N)
         out = []
-        kernels = (G for batch in self._kernel_batches(points, i) for G in batch.swapaxes(0, 1))
-        for G, N in zip(kernels, orders):
-            radial, angular = self.series_level(i, N)
-            # a real matrix times the complex grid, as (re, im) pairs of columns
-            terms = (radial @ G.view(float)).view(complex)
+        for batch in self._kernel_batches(points, i):
+            # (points, halves, orders, n_theta): a real matrix times each
+            # kernel half, as (re, im) pairs of columns
+            terms = (radial @ batch.swapaxes(0, 1).view(float)).view(complex)
             terms *= angular
-            direct, image = terms.sum(axis=-1)
+            direct, image = terms.sum(axis=-1).swapaxes(0, 1)
             sums = self._phase * (direct + kind.sign * image)
-            out.append((complex(sums.sum()), float(np.abs(terms).sum()), sums))
+            moduli = np.abs(terms).reshape(len(sums), -1).sum(axis=-1)
+            out.extend(zip(sums.sum(axis=-1).tolist(), moduli.tolist(), sums))
         return out
 
     def samples(self, kind: BoundaryKind, points: Sequence[PolarPoint]) -> list[WaveSample]:
@@ -708,16 +705,15 @@ class _FresnelGrid:
         return [sample for sample, _ in walked]
 
     def series_samples(self, kind: BoundaryKind, points: Sequence[PolarPoint],
-                       orders: Sequence[int]) -> list[tuple[WaveSample, np.ndarray]]:
-        """The operator series to order ``orders[j]`` at ``points[j]``,
-        judged on the ladder by its gap: per point its sample, and its
-        order sums S_0..S_N on the returned level.  The datum must be a
-        ``PlaneWave`` or a ``TaylorField``, and a Taylor datum's degree at
-        most each order."""
-        points, orders = list(points), list(orders)
+                       N: int) -> list[tuple[WaveSample, np.ndarray]]:
+        """The operator series to order ``N`` at each of ``points``, judged
+        on the ladder by its gap: per point its sample, and its order sums
+        S_0..S_N on the returned level.  The datum must be a ``PlaneWave``
+        or a ``TaylorField`` of degree at most ``N``."""
+        points = list(points)
         walked = self._walk(kind, points, lambda i, active, coarse, limit: [
             (fine, _gap(fine, below)) for fine, below in zip(self.series_values(
-                kind, [points[j] for j in active], [orders[j] for j in active], i), coarse)])
+                kind, [points[j] for j in active], N, i), coarse)])
         return [(sample, fine[2]) for sample, fine in walked]
 
     def _walk(self, kind: BoundaryKind, points: list[PolarPoint], evaluate):

@@ -13,6 +13,7 @@ import pytest
 
 import barrierwaves
 from barrierwaves.cli import main, parse_config, write_csv, write_pgm
+from barrierwaves.evolve import PlaneWave, QuadratureSpec, _FresnelGrid
 from barrierwaves.geometry import CartesianPoint, PolarPoint, on_barrier, to_polar
 from barrierwaves.greens import BoundaryKind, greens
 
@@ -141,10 +142,12 @@ def _must_not_run(*args, **kwargs):
     ("--p1", _SUPERSHIFT_AT + ["--p1", "0"]),
     ("--t", ["coeffs", "--t", "-1", "--x", "1,0.3", "--order", "3"]),
     ("--t", ["greens", "--t", "inf", "--x", "1,0.3", "--y", "1,1"]),
-    # non-finite geometry: an infinite bound, a width that overflows, an infinite radius
+    # non-finite geometry: an infinite bound, a width that overflows, an
+    # infinite radius, a far grid corner whose radius overflows
     ("--grid", ["field", "--t", "1", "--plane-wave", "0.3,0.1", "--grid=-inf:1:3,0:1:3"]),
     ("--grid", ["field", "--t", "1", "--plane-wave", "0.3,0.1", "--grid=0:1e308:3,-1e308:1e308:3"]),
     ("--x", ["field", "--t", "1", "--plane-wave", "0.3,0.1", "--x=inf,0.3"]),
+    ("--grid", ["field", "--t", "1", "--plane-wave", "0.3,0.1", "--grid=0:1.7e308:2,0:1.7e308:2"]),
 ])
 def test_invalid_value_is_usage_error_before_any_work(tmp_path, capsys, monkeypatch, flag, argv):
     for name in ("psi_fresnel", "build_table", "supershift_experiment", "greens"):
@@ -457,6 +460,54 @@ def test_field_operator_refuses_unsettled_series_at_the_cap(tmp_path, capsys, k,
     reason = "no radial cutoff below 10000.0" if last == "nan" else f"order sums {last}"
     assert err.startswith("field failed: ") and reason in err
     assert not out.exists()
+
+
+def test_field_operator_picks_one_series_order_per_request(tmp_path, monkeypatch):
+    # the order certified at the grid's largest radius serves every point
+    # and the bound precheck alike
+    original, calls = cli_module.truncation_order, []
+
+    def counted(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(cli_module, "truncation_order", counted)
+    assert main(["field", "--method", "operator", "--t", "0.8", "--grid", "0.5:1.5:2,-1:1:2",
+                 "--plane-wave", "0.4,-0.3", "--out", str(tmp_path / "f.csv")]) == 0
+    assert len(calls) == 1 and calls[0][1] == math.hypot(1.5, 1.0)
+
+
+def test_field_operator_grid_order_agrees_with_each_points_own_order(tmp_path):
+    # at t = 0.3 the orders of this grid's points run from 28, certified,
+    # to the cap 60 at its corners; the order of its largest radius sums
+    # each point to within both walks' estimates of the series at the
+    # point's own order, on the same cutoff and ladder
+    kind, t, F, spec = BoundaryKind.DIRICHLET, 0.3, PlaneWave(0.1, 0.05), QuadratureSpec()
+    base = ["field", "--method", "operator", "--kind", "dirichlet", "--t", "0.3",
+            "--plane-wave", "0.1,0.05", "--grid", "-3:3:13,-3:3:13"]
+    outputs = []
+    for threads in (1, 3):
+        out = tmp_path / f"f{threads}.csv"
+        assert main([*base, "--threads", str(threads), "--out", str(out)]) == 0
+        outputs.append(out.read_bytes())
+    assert outputs[1] == outputs[0]
+    _, rows = _read_csv(tmp_path / "f1.csv")
+    assert len(rows) == 169
+    cells = [CartesianPoint(float(row[0]), float(row[1])) for row in rows]
+    points = [to_polar(c) for c in cells if not on_barrier(c)]
+    values = [complex(float(row[2]), float(row[3])) for row in rows if row[2]]
+    r_max = max(p.r for p in points)
+    N, _ = cli_module._series_order(t, r_max, F, spec)
+    grid = _FresnelGrid(t, F, spec, r_max)
+    samples = grid.series_samples(kind, points, N)
+    assert [s.value for s, _ in samples] == values
+    own = [cli_module._series_order(t, p.r, F, spec)[0] for p in points]
+    assert min(own) < 30 and max(own) == N
+    for order in set(own):
+        picked = [j for j, n in enumerate(own) if n == order]
+        for j, (one, _) in zip(picked, grid.series_samples(kind, [points[j] for j in picked], order)):
+            sample = samples[j][0]
+            assert abs(sample.value - one.value) <= sample.est_error + one.est_error + 2 * spec.tol
 
 
 # ----------------------------------------------------------------------------

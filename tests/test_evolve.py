@@ -604,8 +604,8 @@ def test_top_level_asks_for_no_unneeded_own_estimate(monkeypatch):
 def test_batched_series_walk_equals_one_point_walks(kind, F):
     points = _grid_points()
     grid = _FresnelGrid(0.6, F, SPEC, max(p.r for p in points))
-    batched = grid.series_samples(kind, points * 2, [60] * (2 * len(points)))
-    single = [grid.series_samples(kind, [p], [60])[0] for p in points] * 2
+    batched = grid.series_samples(kind, points * 2, 60)
+    single = [grid.series_samples(kind, [p], 60)[0] for p in points] * 2
     for (sample, sums), (one, one_sums) in zip(batched, single, strict=True):
         assert sample == one
         assert np.array_equal(sums, one_sums)
@@ -631,7 +631,7 @@ def test_batched_walk_evaluates_each_point_on_its_own_levels(monkeypatch, kind, 
 
     def walk(batch):
         if series:
-            return [s for s, _ in grid.series_samples(kind, batch, [60] * len(batch))]
+            return [s for s, _ in grid.series_samples(kind, batch, 60)]
         return grid.samples(kind, batch)
 
     single = [walk([p])[0] for p in points]

@@ -630,7 +630,7 @@ def test_series_matches_the_table_route_on_the_field_range():
             degree = i // 4
             F = TaylorField(np.triu(rng.uniform(-1.0, 1.0, (degree + 1, degree + 1)))[:, ::-1])
             N = F.degree
-        [(sample, sums)] = _FresnelGrid(t, F, spec, x.r).series_samples(kind, [x], [N])
+        [(sample, sums)] = _FresnelGrid(t, F, spec, x.r).series_samples(kind, [x], N)
         table = build_table(kind, t, x, N, spec)
         ref = (apply_plane_wave(table, (F.k1, F.k2)) if isinstance(F, PlaneWave)
                else apply_taylor(table, F))
